@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,15 +30,17 @@ import (
 // a namespace separate from the live wire protocol).
 const (
 	ckptMeta  = 1 // format version, clocks, and layout counts
-	ckptStage = 2 // one stage's masters, T2 state, and moments
-	ckptRing  = 3 // one stage's weight-version ring
+	ckptStage = 2 // one stage's state: the MsgSetState payload of stageLayout
+	ckptRing  = 3 // one stage's weight-version ring: the MsgSetRing payload
 	ckptEnd   = 4 // end marker: the file was written completely
 )
 
-// ckptFormat is the checkpoint format version. Version 2 switched the
-// tensor encoding to carry a per-tensor dtype tag (float32 support), so
-// version-1 files are rejected rather than mis-decoded.
-const ckptFormat = 2
+// ckptFormat is the checkpoint format version. Version 3 writes each
+// stage as the single counted tensor list the wire's MsgSetState ships,
+// each ring in the MsgSetRing encoding, and the step, epoch, microbatch
+// and optimizer clocks as u64. Files of any other version are rejected
+// rather than mis-decoded.
+const ckptFormat = 3
 
 // ckptPattern matches checkpoint files in a directory; the step number
 // is zero-padded so lexical order is step order.
@@ -67,6 +70,11 @@ func (t *Trainer) CheckpointStats() (writes int, ns int64) {
 	return t.ckptWrites, t.ckptNs
 }
 
+// ckptLayout is stage s's checkpoint layout: stageLayout with the
+// optimizer moments whenever their full state is resident here, whatever
+// the exchange layout (stageState) carries.
+func (t *Trainer) ckptLayout(s int) []*tensor.Tensor { return t.stageLayout(s, t.stateful != nil) }
+
 // WriteCheckpoint serializes the trainer's state to a new step-stamped
 // file in dir (created if missing), written to a temp file and renamed
 // so a crash mid-write never leaves a truncated file under the
@@ -75,42 +83,26 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	momentCount := 0
-	optClock := 0
+	momentCount, optClock := 0, 0
 	if t.stateful != nil {
-		momentCount = t.stateful.MomentCount()
-		optClock = t.stateful.Clock()
+		momentCount, optClock = t.stateful.MomentCount(), t.stateful.Clock()
 	}
 	meta := transport.AppendU32(nil, ckptFormat)
-	meta = transport.AppendU32(meta, uint32(t.step))
-	meta = transport.AppendU32(meta, uint32(t.epoch))
-	meta = transport.AppendU32(meta, uint32(t.micro))
+	for _, clk := range []int{t.step, t.epoch, t.micro, optClock} {
+		meta = transport.AppendU64(meta, uint64(clk))
+	}
 	meta = transport.AppendU32(meta, uint32(t.clock.P))
 	meta = transport.AppendU32(meta, uint32(len(t.params)))
 	meta = transport.AppendBool(meta, t.delta != nil)
 	meta = transport.AppendU32(meta, uint32(momentCount))
-	meta = transport.AppendU32(meta, uint32(optClock))
 	buf := transport.AppendMessage(nil, transport.Header{Type: ckptMeta, Stage: -1}, meta)
 	for s := 0; s < t.clock.P; s++ {
-		lo, hi := t.stageLo[s], t.stageHi[s]
-		p := transport.AppendTensors(nil, t.masters[lo:hi])
-		if t.delta != nil {
-			p = transport.AppendTensors(p, t.delta[lo:hi])
-			p = transport.AppendTensors(p, t.corrected[lo:hi])
-		}
-		for i := lo; momentCount > 0 && i < hi; i++ {
-			p = transport.AppendTensors(p, t.stateful.MomentTensors(i))
-		}
+		p := transport.AppendTensors(nil, t.ckptLayout(s))
 		buf = transport.AppendMessage(buf, transport.Header{Type: ckptStage, Stage: int32(s)}, p)
 	}
 	for s := 0; s < t.clock.P; s++ {
 		base, snaps := t.store.History(s)
-		p := transport.AppendU32(nil, uint32(base))
-		p = transport.AppendU32(p, uint32(len(snaps)))
-		for _, sn := range snaps {
-			p = transport.AppendTensors(p, sn)
-		}
-		buf = transport.AppendMessage(buf, transport.Header{Type: ckptRing, Stage: int32(s)}, p)
+		buf = transport.AppendMessage(buf, transport.Header{Type: ckptRing, Stage: int32(s)}, transport.AppendRing(nil, base, snaps))
 	}
 	buf = transport.AppendMessage(buf, transport.Header{Type: ckptEnd, Stage: -1}, nil)
 
@@ -136,17 +128,21 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 	return path, nil
 }
 
-// ckptState is a fully parsed checkpoint, staged off to the side so a
-// corrupt file is rejected before a single live tensor is touched.
+// ckptState is a fully parsed and validated checkpoint, staged off to the
+// side so a corrupt file is rejected before a single live tensor is
+// touched.
 type ckptState struct {
 	step, epoch, micro int
 	optClock           int
+	skip               int // committed minibatches of the resumed epoch
 	stages             [][]*tensor.Tensor
 	ringBase           []int
 	ringSnaps          [][][]*tensor.Tensor
 }
 
-// parseCheckpoint decodes and validates b against this trainer's layout.
+// parseCheckpoint decodes b and validates all of it against this
+// trainer's layout — clocks, every stage's tensors, every ring — so that
+// apply cannot fail.
 func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
 	h, payload, rest, err := transport.NextMessage(b)
 	if err != nil {
@@ -156,17 +152,23 @@ func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
 		return nil, fmt.Errorf("first section is type %d, want meta", h.Type)
 	}
 	c := transport.NewCursor(payload)
-	format := c.I32()
-	st := &ckptState{step: c.I32(), epoch: c.I32(), micro: c.I32()}
+	if format := c.I32(); c.Err() == nil && format != ckptFormat {
+		return nil, fmt.Errorf("format version %d, want %d", format, ckptFormat)
+	}
+	var clocks [4]int
+	for i := range clocks {
+		v := c.U64()
+		if v > math.MaxInt64 {
+			return nil, fmt.Errorf("meta: clock %d out of range", v)
+		}
+		clocks[i] = int(v)
+	}
+	st := &ckptState{step: clocks[0], epoch: clocks[1], micro: clocks[2], optClock: clocks[3]}
 	stages, params := c.I32(), c.I32()
 	t2 := c.Bool()
 	momentCount := c.I32()
-	st.optClock = c.I32()
 	if err := c.Done(); err != nil {
 		return nil, fmt.Errorf("meta: %w", err)
-	}
-	if format != ckptFormat {
-		return nil, fmt.Errorf("format version %d, want %d", format, ckptFormat)
 	}
 	if stages != t.clock.P || params != len(t.params) {
 		return nil, fmt.Errorf("checkpoint has %d stages / %d params, trainer has %d / %d", stages, params, t.clock.P, len(t.params))
@@ -181,6 +183,19 @@ func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
 	if momentCount != wantMoments {
 		return nil, fmt.Errorf("checkpoint has %d moment tensors per param, optimizer has %d (different optimizer?)", momentCount, wantMoments)
 	}
+	perEpoch := t.task.NumTrain() / t.cfg.BatchSize
+	// epoch ≤ step/perEpoch is epoch·perEpoch ≤ step without the overflow.
+	if st.epoch > st.step/perEpoch || st.step-st.epoch*perEpoch > perEpoch {
+		return nil, fmt.Errorf("checkpoint clocks inconsistent: step %d, epoch %d, %d minibatches per epoch", st.step, st.epoch, perEpoch)
+	}
+	st.skip = st.step - st.epoch*perEpoch
+	if st.skip == perEpoch {
+		// Checkpoint taken at the last minibatch of an epoch, before the
+		// epoch counter advanced: resume at the next epoch's start. (The
+		// boundary epoch's metric entry belongs to the interrupted run.)
+		st.epoch++
+		st.skip = 0
+	}
 	st.stages = make([][]*tensor.Tensor, stages)
 	st.ringBase = make([]int, stages)
 	st.ringSnaps = make([][][]*tensor.Tensor, stages)
@@ -190,30 +205,16 @@ func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
 			return nil, err
 		}
 		if h.Type != ckptStage || int(h.Stage) != s {
-			return nil, fmt.Errorf("section %d is type %d stage %d, want stage section %d", s, h.Type, h.Stage, s)
+			return nil, fmt.Errorf("section is type %d stage %d, want stage section %d", h.Type, h.Stage, s)
 		}
-		lo, hi := t.stageLo[s], t.stageHi[s]
 		c := transport.NewCursor(payload)
-		buf := c.TensorsInto(nil)
-		if t.delta != nil {
-			buf = append(buf, c.TensorsInto(nil)...)
-			buf = append(buf, c.TensorsInto(nil)...)
-		}
-		for i := lo; momentCount > 0 && i < hi; i++ {
-			buf = append(buf, c.TensorsInto(nil)...)
-		}
+		st.stages[s] = c.TensorsInto(nil)
 		if err := c.Done(); err != nil {
 			return nil, fmt.Errorf("stage %d: %w", s, err)
 		}
-		want := hi - lo
-		if t.delta != nil {
-			want *= 3
+		if err := checkStage(t.ckptLayout(s), st.stages[s]); err != nil {
+			return nil, fmt.Errorf("stage %d: %w", s, err)
 		}
-		want += (hi - lo) * momentCount
-		if len(buf) != want {
-			return nil, fmt.Errorf("stage %d has %d tensors, want %d", s, len(buf), want)
-		}
-		st.stages[s] = buf
 	}
 	for s := 0; s < stages; s++ {
 		h, payload, rest, err = transport.NextMessage(rest)
@@ -224,16 +225,13 @@ func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
 			return nil, fmt.Errorf("section is type %d stage %d, want ring section %d", h.Type, h.Stage, s)
 		}
 		c := transport.NewCursor(payload)
-		st.ringBase[s] = c.I32()
-		n := c.Count(4)
-		snaps := make([][]*tensor.Tensor, 0, n)
-		for i := 0; i < n; i++ {
-			snaps = append(snaps, c.TensorsInto(nil))
-		}
+		st.ringBase[s], st.ringSnaps[s] = c.Ring()
 		if err := c.Done(); err != nil {
 			return nil, fmt.Errorf("ring %d: %w", s, err)
 		}
-		st.ringSnaps[s] = snaps
+		if err := t.checkRing(s, st.ringBase[s], st.ringSnaps[s]); err != nil {
+			return nil, err
+		}
 	}
 	h, _, _, err = transport.NextMessage(rest)
 	if err != nil {
@@ -245,48 +243,11 @@ func (t *Trainer) parseCheckpoint(b []byte) (*ckptState, error) {
 	return st, nil
 }
 
-// apply installs a parsed checkpoint into the live trainer state.
-func (t *Trainer) apply(st *ckptState) error {
+// apply installs a parsed, validated checkpoint into the live trainer.
+func (t *Trainer) apply(st *ckptState) {
 	for s := 0; s < t.clock.P; s++ {
-		lo, hi := t.stageLo[s], t.stageHi[s]
-		k := 0
-		take := func(dst *tensor.Tensor) error {
-			src := st.stages[s][k]
-			k++
-			if !dst.SameShape(src) {
-				return fmt.Errorf("core: checkpoint stage %d tensor %d shape %v, want %v", s, k-1, src.Shape, dst.Shape)
-			}
-			if dst.DType() != src.DType() {
-				return fmt.Errorf("core: checkpoint stage %d tensor %d dtype %v, want %v", s, k-1, src.DType(), dst.DType())
-			}
-			dst.CopyFrom(src)
-			return nil
-		}
-		for i := lo; i < hi; i++ {
-			if err := take(t.masters[i]); err != nil {
-				return err
-			}
-		}
-		if t.delta != nil {
-			for i := lo; i < hi; i++ {
-				if err := take(t.delta[i]); err != nil {
-					return err
-				}
-			}
-			for i := lo; i < hi; i++ {
-				if err := take(t.corrected[i]); err != nil {
-					return err
-				}
-			}
-		}
-		if t.stateful != nil {
-			for i := lo; i < hi; i++ {
-				for _, mt := range t.stateful.MomentTensors(i) {
-					if err := take(mt); err != nil {
-						return err
-					}
-				}
-			}
+		for k, dst := range t.ckptLayout(s) {
+			dst.CopyFrom(st.stages[s][k])
 		}
 		t.store.RestoreStage(s, st.ringBase[s], st.ringSnaps[s])
 	}
@@ -294,15 +255,16 @@ func (t *Trainer) apply(st *ckptState) error {
 	if t.stateful != nil {
 		t.stateful.SetClock(st.optClock)
 	}
-	t.epoch = st.epoch
-	t.micro = st.micro
+	t.epoch, t.micro, t.resumeSkip = st.epoch, st.micro, st.skip
 	t.diverged = false
-	return nil
 }
 
 // RestoreFrom restores the trainer from one checkpoint file. The file is
 // parsed and validated completely before any live state changes, so an
-// invalid file leaves the trainer untouched.
+// invalid file leaves the trainer untouched. Followers — in-process or
+// remote — then receive the restored state through syncMember, so
+// training resumes exactly where the checkpointed run would have
+// continued.
 func (t *Trainer) RestoreFrom(path string) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -312,19 +274,19 @@ func (t *Trainer) RestoreFrom(path string) error {
 	if err != nil {
 		return fmt.Errorf("core: restoring %s: %w", path, err)
 	}
-	if err := t.apply(st); err != nil {
-		return err
-	}
+	t.apply(st)
 	t.ctlTrack().Instant(trace.NameCkptRestore, -1, -1, 0)
-	return t.syncRestoredFollowers()
+	for i, m := range t.followers {
+		if err := t.syncMember(m, i+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RestoreLatest restores the trainer from the newest valid checkpoint in
 // dir (older files are tried in turn when a newer one is corrupt) and
-// returns the restored step. Followers — in-process or remote — are
-// re-synchronized with the restored leader state, including their
-// weight-version rings, so training resumes exactly where the
-// checkpointed run would have continued.
+// returns the restored step.
 func (t *Trainer) RestoreLatest(dir string) (int, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, ckptPattern))
 	if err != nil {
@@ -345,49 +307,20 @@ func (t *Trainer) RestoreLatest(dir string) (int, error) {
 	return 0, fmt.Errorf("core: no valid checkpoint under %s: %w", dir, lastErr)
 }
 
-// syncRestoredFollowers pushes the restored leader state to every
-// follower: epoch and step clocks, full per-stage state (with moments
-// under the fault-tolerant layout), and the weight-version rings. It
-// also computes how many of the restored epoch's minibatches are already
-// committed, for run() to skip.
-func (t *Trainer) syncRestoredFollowers() error {
-	for i, m := range t.followers {
-		if err := t.syncMember(m, i+1); err != nil {
-			return err
-		}
-	}
-	perEpoch := t.task.NumTrain() / t.cfg.BatchSize
-	skip := t.step - t.epoch*perEpoch
-	if skip == perEpoch {
-		// Checkpoint taken at the last minibatch of an epoch, before the
-		// epoch counter advanced: resume at the next epoch's start. (The
-		// boundary epoch's metric entry belongs to the interrupted run.)
-		t.epoch++
-		skip = 0
-	}
-	if skip < 0 || skip > perEpoch {
-		return fmt.Errorf("core: checkpoint clocks inconsistent: step %d, epoch %d, %d minibatches per epoch", t.step, t.epoch, perEpoch)
-	}
-	t.resumeSkip = skip
-	return nil
-}
-
-// syncMember pushes the leader's complete live state to one member —
-// epoch and step clocks, full per-stage state (with moments under the
-// fault-tolerant layout), and the weight-version rings. It is the whole
-// state a replica trains from, which makes it both the restore
-// re-synchronization and the live handoff a mid-run joiner (or a
-// rejoining standby) receives: a member that has seen syncMember is
+// syncMember pushes the leader's complete live state to one member:
+// the epoch clock, every stage's state and the step clock (the
+// leader-serial broadcast, replica.PushState), then the weight-version
+// rings. It is the whole state a replica trains from, which makes it both
+// the restore re-synchronization and the live handoff a mid-run joiner
+// (or a rejoining standby) receives: a member that has seen syncMember is
 // indistinguishable from one that trained alongside the leader from the
 // start. r is the member's replica index, for error attribution.
 func (t *Trainer) syncMember(m replica.Member, r int) error {
-	m.SyncEpoch()
-	m.SyncFromLeader()
-	if vr, ok := m.(replica.VersionRestorer); ok {
-		for s := 0; s < t.clock.P; s++ {
-			base, snaps := t.store.History(s)
-			vr.RestoreVersions(s, base, snaps)
-		}
+	m.SetEpoch(t.epoch)
+	replica.PushState(host{t}, m)
+	for s := 0; s < t.clock.P; s++ {
+		base, snaps := t.store.History(s)
+		m.RestoreVersions(s, base, snaps)
 	}
 	if er, ok := m.(replica.Erring); ok {
 		if err := er.Err(); err != nil {

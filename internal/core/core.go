@@ -337,15 +337,13 @@ type Trainer struct {
 
 	// Data-parallel replication state: a leader trainer owns its follower
 	// members — in-process follower trainers, or remote proxies from
-	// Config.Followers; a follower trainer holds a pointer back to its
-	// leader for the post-step weight broadcast (or epoch-clock sync
-	// under the sharded commit). plan assigns each stage's optimizer
-	// commit to a replica owner when the sharded step is on.
+	// Config.Followers — and pushes state and clocks into them through
+	// their member surface. plan assigns each stage's optimizer commit to
+	// a replica owner when the sharded step is on.
 	followers  []replica.Member
-	leader     *Trainer
 	sharded    bool
 	plan       engine.CommitPlan
-	stageState [][]*tensor.Tensor // per-stage gather layout (masters, T2 δ, corrected, FT moments)
+	stageState [][]*tensor.Tensor // per-stage exchange layout (stageLayout, moments iff momentShare)
 
 	// Fault-tolerance state: stateful is the optimizer's moment surface
 	// when it spans the full parameter range (nil otherwise); momentShare
@@ -363,6 +361,7 @@ type Trainer struct {
 	diverged   bool
 	resumeSkip int // full minibatches to skip in the first epoch after a restore
 	closed     bool
+	dtype      tensor.DType // model dtype, fixed at build: engines reassign Param.Data concurrently
 
 	ckptWrites int   // checkpoints written
 	ckptNs     int64 // cumulative wall time spent writing them
@@ -499,6 +498,9 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	t.stateful = stateful
 	t.momentShare = momentShare
 	t.params = part.Params()
+	if len(t.params) > 0 {
+		t.dtype = t.params[0].Data.DType()
+	}
 	t.stageLo = make([]int, p)
 	t.stageHi = make([]int, p)
 	t.stageLRs = make([][]float64, p)
@@ -548,36 +550,13 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	t.flows = make(map[int]*flight)
 	t.sharded = sharded
 	t.plan = engine.NewCommitPlan(p, replicas)
-	// Per-stage state layout for the sharded-commit gather (StageState):
-	// fixed after construction, so build it once instead of per commit.
-	// Under the fault-tolerant layout the stage's optimizer moments ride
-	// at the end (aliasing the live optimizer tensors), so every gather
-	// and broadcast mirrors them onto all replicas.
+	// Per-stage exchange layout (StageState): fixed after construction, so
+	// built once instead of per commit. Under the fault-tolerant layout the
+	// stage's optimizer moments ride along, so every gather, broadcast and
+	// handoff mirrors them onto all replicas.
 	t.stageState = make([][]*tensor.Tensor, p)
-	for s := 0; s < p; s++ {
-		lo, hi := t.stageLo[s], t.stageHi[s]
-		n := hi - lo
-		if t.delta != nil {
-			n *= 3
-		}
-		buf := make([]*tensor.Tensor, 0, n)
-		for i := lo; i < hi; i++ {
-			buf = append(buf, t.masters[i])
-		}
-		if t.delta != nil {
-			for i := lo; i < hi; i++ {
-				buf = append(buf, t.delta[i])
-			}
-			for i := lo; i < hi; i++ {
-				buf = append(buf, t.corrected[i])
-			}
-		}
-		if t.momentShare {
-			for i := lo; i < hi; i++ {
-				buf = append(buf, t.stateful.MomentTensors(i)...)
-			}
-		}
-		t.stageState[s] = buf
+	for s := range t.stageState {
+		t.stageState[s] = t.stageLayout(s, t.momentShare)
 	}
 	if replicas > 1 && cfg.Followers != nil {
 		env := ReplicaEnv{
@@ -606,6 +585,56 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 		t.followers = append(t.followers, host{f})
 	}
 	return t, nil
+}
+
+// stageLayout lists stage s's state tensors in the one order every state
+// crossing uses — gather, broadcast, handoff and checkpoint: the master
+// weights, then (T2) the δ accumulators and corrected weights, then, when
+// moments is set, each parameter's optimizer moments. The tensors are the
+// live ones, so the list aliases the trainer's state.
+func (t *Trainer) stageLayout(s int, moments bool) []*tensor.Tensor {
+	lo, hi := t.stageLo[s], t.stageHi[s]
+	out := append([]*tensor.Tensor(nil), t.masters[lo:hi]...)
+	if t.delta != nil {
+		out = append(out, t.delta[lo:hi]...)
+		out = append(out, t.corrected[lo:hi]...)
+	}
+	for i := lo; moments && i < hi; i++ {
+		out = append(out, t.stateful.MomentTensors(i)...)
+	}
+	return out
+}
+
+// checkStage reports whether src can be copied tensor for tensor into
+// dst: the same count, and each pair the same shape and dtype. Every
+// import of stage state or version snapshots — from a peer, the wire or
+// a checkpoint — passes it before a live tensor is touched.
+func checkStage(dst, src []*tensor.Tensor) error {
+	if len(src) != len(dst) {
+		return fmt.Errorf("%d tensors, want %d", len(src), len(dst))
+	}
+	for k, d := range dst {
+		if !d.SameShape(src[k]) || d.DType() != src[k].DType() {
+			return fmt.Errorf("tensor %d is %v %v, want %v %v", k, src[k].DType(), src[k].Shape, d.DType(), d.Shape)
+		}
+	}
+	return nil
+}
+
+// checkRing validates a stage's weight-version ring before it replaces
+// the live one: a non-negative base and at least one snapshot (a trainer
+// always installs from some version), each laid out like the stage's
+// masters.
+func (t *Trainer) checkRing(s, base int, snaps [][]*tensor.Tensor) error {
+	if base < 0 || len(snaps) == 0 {
+		return fmt.Errorf("stage %d ring has base %d and %d snapshots, want base >= 0 and at least one", s, base, len(snaps))
+	}
+	for k, snap := range snaps {
+		if err := checkStage(t.masters[t.stageLo[s]:t.stageHi[s]], snap); err != nil {
+			return fmt.Errorf("stage %d ring snapshot %d: %w", s, k, err)
+		}
+	}
+	return nil
 }
 
 // shardOf maps replica r's stage shard to its optimizer parameter range
@@ -745,15 +774,7 @@ func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
 		}
 		cp.Data.CopyFrom(t.params[i].Data)
 	}
-	fcfg := t.cfg
-	fcfg.Replicas = 0
-	fcfg.ShardedStep = ShardedStepOff
-	fcfg.Engine = engine.NewReference() // follower engines are never used
-	fcfg.Followers = nil
-	fcfg.CheckpointDir = "" // only the leader checkpoints
-	fcfg.Elastic = false    // only the leader admits joiners
-	fcfg.StragglerDeadline, fcfg.StragglerMisses = 0, 0
-	fcfg.TraceReplica = r // the shared recorder attributes this follower's events to replica r
+	fcfg := followerConfig(t.cfg, r)
 	if fcfg.Partition != pipeline.PartitionEven {
 		// Followers must land on the leader's exact partition: reuse its
 		// (possibly measured) cost vector instead of re-estimating, so a
@@ -777,8 +798,27 @@ func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building replica %d: %w", r, err)
 	}
-	f.leader = t
 	return f, nil
+}
+
+// followerConfig derives replica r's configuration from its leader's by
+// clearing every leader-only duty — the one derivation both the
+// in-process followers and worker-process followers (NewFollower) use,
+// so the two cannot drift apart. A follower is a single-replica trainer
+// whose engine is never used for its own minibatches (the replicated
+// engine or the worker's serve loop drives its slots), that never
+// checkpoints, admits joiners or demotes stragglers, and whose trace
+// events carry its own replica index.
+func followerConfig(cfg Config, r int) Config {
+	cfg.Replicas = 0
+	cfg.ShardedStep = ShardedStepOff
+	cfg.Engine = engine.NewReference()
+	cfg.Followers = nil
+	cfg.CheckpointDir = ""
+	cfg.Elastic = false
+	cfg.StragglerDeadline, cfg.StragglerMisses = 0, 0
+	cfg.TraceReplica = r
+	return cfg
 }
 
 // NewFollower builds the standalone worker-process counterpart of the
@@ -815,15 +855,7 @@ func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Confi
 	for _, g := range task.Groups() {
 		ps = append(ps, g.Params...)
 	}
-	fcfg := cfg
-	fcfg.Replicas = 0
-	fcfg.ShardedStep = ShardedStepOff
-	fcfg.Engine = engine.NewReference() // chunks run through the serve loop's engine
-	fcfg.Followers = nil
-	fcfg.CheckpointDir = "" // only the leader checkpoints
-	fcfg.Elastic = false    // only the leader admits joiners
-	fcfg.StragglerDeadline, fcfg.StragglerMisses = 0, 0
-	fcfg.TraceReplica = r // a worker-process recorder labels its events with its replica index
+	fcfg := followerConfig(cfg, r)
 	fopt := optim.Optimizer(optim.NewSGDShard(ps, 0, 0, optim.Shard{}))
 	if cfg.FaultTolerant {
 		// The fault-tolerant stage-state layout aliases the live moment
@@ -1138,10 +1170,10 @@ func (h host) BeginMicro(s int, mb []int) {
 		if t.prog != nil {
 			fl.m = nn.NewMachine(t.prog.NumRegs)
 			// Slot machines allocate activations from their own tape
-			// arena, which must match the model dtype.
-			if len(t.params) > 0 {
-				fl.m.Tape.SetDType(t.params[0].Data.DType())
-			}
+			// arena, which must match the model dtype. It is read from the
+			// build-time record, never from Param.Data: an engine worker
+			// may be installing a snapshot into it right now.
+			fl.m.Tape.SetDType(t.dtype)
 		}
 	}
 	fl.mb = mb
@@ -1331,20 +1363,19 @@ func (h host) Replicas() int { return len(h.t.followers) + 1 }
 // Follower returns follower r's member surface (replica.Leader).
 func (h host) Follower(r int) replica.Member { return h.t.followers[r-1] }
 
-// Step returns the optimizer step clock (transport.LeaderState).
+// Step returns the optimizer step clock (replica.Leader).
 func (h host) Step() int { return h.t.step }
 
-// Epoch returns the epoch clock (transport.LeaderState).
+// Epoch returns the epoch clock (replica.Leader).
 func (h host) Epoch() int { return h.t.epoch }
 
-// SetStep aligns the step clock — the remote-worker counterpart of the
-// SyncFromLeader step copy (transport.ClockSetter).
+// SetStep aligns the step clock (replica.Member).
 func (h host) SetStep(step int) { h.t.setStep(step) }
 
 // setStep moves the optimizer step clock, keeping the optimizer's own
 // update counter (AdamW bias correction) in lockstep when the full
-// moment state is resident — the invariant a checkpoint restore or
-// leader sync relies on.
+// moment state is resident — the invariant a checkpoint restore or a
+// leader push relies on.
 func (t *Trainer) setStep(step int) {
 	t.step = step
 	if t.stateful != nil {
@@ -1352,8 +1383,8 @@ func (t *Trainer) setStep(step int) {
 	}
 }
 
-// SetEpoch aligns the epoch clock — the remote-worker counterpart of
-// SyncEpoch (transport.ClockSetter).
+// SetEpoch aligns the epoch clock (replica.Member), so commit-phase
+// learning rates (T1 annealing, T3 warmup phase) agree with the leader's.
 func (h host) SetEpoch(epoch int) { h.t.epoch = epoch }
 
 // ShardedStep reports whether the optimizer commit is sharded across the
@@ -1408,95 +1439,30 @@ func (h host) SetStageGrads(stage int, bufs []*tensor.Tensor) {
 	}
 }
 
-// StageState returns the stage's live post-step state tensors — the
-// master weights, then (when T2 is enabled) the δ velocity accumulators
-// and corrected backward weights — in a fixed layout the gather copies
-// from. Callers must treat the slice and its tensors as read-only.
+// StageState returns the stage's live post-step state tensors in the
+// stageLayout order (optimizer moments included under the fault-tolerant
+// layout). Callers must treat the slice and its tensors as read-only.
 func (h host) StageState(stage int) []*tensor.Tensor {
 	return h.t.stageState[stage]
 }
 
-// ImportStageState copies a stage's post-step state from src (an owner's
-// StageState layout) into this replica and pushes the stage's next weight
-// version — the gather half of the sharded commit, mirroring the version
-// push the owner's FinishStage did so every replica's version queue
-// replays the same history.
+// ImportStageState copies a stage's state from src (another replica's
+// StageState) into this replica and pushes the stage's next weight
+// version, mirroring the version push the source's FinishStage did so
+// every replica's version queue replays the same history. It serves the
+// sharded gather, the leader-serial broadcast and the restore and join
+// handoffs alike. A src that does not match the layout panics (the
+// worker's serve loop turns that into an error reply).
 func (h host) ImportStageState(stage int, src []*tensor.Tensor) {
 	t := h.t
-	lo, hi := t.stageLo[stage], t.stageHi[stage]
-	want := hi - lo
-	if t.delta != nil {
-		want *= 3
+	dst := t.stageState[stage]
+	if err := checkStage(dst, src); err != nil {
+		panic(fmt.Sprintf("core: stage %d state: %v", stage, err))
 	}
-	if t.momentShare {
-		want += (hi - lo) * t.stateful.MomentCount()
-	}
-	if len(src) != want {
-		panic(fmt.Sprintf("core: stage %d state has %d tensors, want %d", stage, len(src), want))
-	}
-	k := 0
-	for i := lo; i < hi; i++ {
-		t.masters[i].CopyFrom(src[k])
-		k++
-	}
-	if t.delta != nil {
-		for i := lo; i < hi; i++ {
-			t.delta[i].CopyFrom(src[k])
-			k++
-		}
-		for i := lo; i < hi; i++ {
-			t.corrected[i].CopyFrom(src[k])
-			k++
-		}
-	}
-	if t.momentShare {
-		for i := lo; i < hi; i++ {
-			for _, mt := range t.stateful.MomentTensors(i) {
-				mt.CopyFrom(src[k])
-				k++
-			}
-		}
+	for k, d := range dst {
+		d.CopyFrom(src[k])
 	}
 	t.store.PushStage(stage)
-}
-
-// SyncEpoch aligns a follower's epoch clock with its leader's so the
-// commit-phase learning rates (T1 annealing, T3 warmup phase) are
-// computed from the same epoch everywhere. The leader is its own clock.
-func (h host) SyncEpoch() {
-	if h.t.leader != nil {
-		h.t.epoch = h.t.leader.epoch
-	}
-}
-
-// SyncFromLeader imports the leader's post-step master weights and T2
-// state, then pushes this replica's next per-stage weight version — the
-// follower half of the broadcast protocol, mirroring what FinishStage
-// did on the leader so both version queues stay aligned.
-func (h host) SyncFromLeader() {
-	t := h.t
-	ld := t.leader
-	for i := range t.masters {
-		t.masters[i].CopyFrom(ld.masters[i])
-	}
-	if t.delta != nil {
-		for i := range t.delta {
-			t.delta[i].CopyFrom(ld.delta[i])
-			t.corrected[i].CopyFrom(ld.corrected[i])
-		}
-	}
-	if t.momentShare && ld.momentShare {
-		for i := range t.masters {
-			src := ld.stateful.MomentTensors(i)
-			for j, mt := range t.stateful.MomentTensors(i) {
-				mt.CopyFrom(src[j])
-			}
-		}
-	}
-	t.setStep(ld.step)
-	for st := range t.part.Stages {
-		t.store.PushStage(st)
-	}
 }
 
 // FaultTolerant reports whether this trainer runs the fault-tolerant
@@ -1524,21 +1490,23 @@ func (h host) JoinFollower(m replica.Member) {
 	t.plan = engine.NewCommitPlan(t.clock.P, len(t.followers)+1)
 }
 
-// RestoreVersions replaces a stage's weight-version ring
-// (replica.VersionRestorer) — the restore path for the historical
-// versions the asynchronous methods read.
+// RestoreVersions replaces a stage's weight-version ring (replica.Member)
+// — the historical versions the asynchronous methods read. A ring the
+// trainer could not train from (empty, or snapshots unlike the stage's
+// masters) panics before the live ring is touched.
 func (h host) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
+	if err := h.t.checkRing(stage, base, snaps); err != nil {
+		panic("core: " + err.Error())
+	}
 	h.t.store.RestoreStage(stage, base, snaps)
 }
 
 // The trainer's host satisfies the full replica surface.
-var _ replica.Leader = host{}
-
 var (
-	_ replica.FaultTolerer    = host{}
-	_ replica.Evictor         = host{}
-	_ replica.Joiner          = host{}
-	_ replica.VersionRestorer = host{}
+	_ replica.Leader       = host{}
+	_ replica.FaultTolerer = host{}
+	_ replica.Evictor      = host{}
+	_ replica.Joiner       = host{}
 )
 
 // Run trains for the given number of epochs under ctx, recording one entry

@@ -187,7 +187,7 @@ func (t *Trainer) admitOne(pj pendingJoin) error {
 		Heartbeat:  t.cfg.Heartbeat,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), welcomeTimeout)
-	m, err := transport.Welcome(ctx, pj.conn, spec, host{t})
+	m, err := transport.Welcome(ctx, pj.conn, spec)
 	cancel()
 	if err != nil {
 		pj.conn.Close()

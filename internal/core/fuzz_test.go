@@ -30,22 +30,14 @@ func fuzzTrainer(f testing.TB) *Trainer {
 }
 
 // FuzzRestoreFrom fuzzes the checkpoint parser behind RestoreFrom — the
-// same codec the live join handoff reuses — with a real checkpoint as
-// the seed corpus. The contract under arbitrary bytes is error-or-
-// success, never a panic, and never a half-applied restore that later
-// training trips over: after a failed restore the trainer must still
-// train.
+// same stage-list and ring payloads the live broadcast and join handoff
+// ship — with a real checkpoint as the seed corpus. The contract under
+// arbitrary bytes is error-or-success, never a panic, and never a restore
+// that later training trips over: whether the restore failed (nothing
+// applied) or succeeded (everything validated), the trainer must train
+// another epoch.
 func FuzzRestoreFrom(f *testing.F) {
-	seedTr := fuzzTrainer(f)
-	seedTr.TrainEpochs(1, nil)
-	path, err := seedTr.WriteCheckpoint(f.TempDir())
-	if err != nil {
-		f.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
+	raw := checkpointOf(f, fuzzTrainer(f))
 	f.Add(raw)
 	f.Add([]byte{})
 	f.Add(raw[:len(raw)/2])
@@ -54,15 +46,14 @@ func FuzzRestoreFrom(f *testing.F) {
 	f.Add(flipped)
 	truncTail := append([]byte(nil), raw[:len(raw)-3]...)
 	f.Add(truncTail)
+	f.Add(withRing0(f, raw, nil)) // CRC-valid, but an empty ring
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := filepath.Join(t.TempDir(), "ckpt-00000001.pm")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		tr := fuzzTrainer(t)
-		if err := tr.RestoreFrom(p); err != nil {
-			// A rejected restore must leave the trainer trainable.
-			tr.TrainEpochs(1, nil)
-		}
+		tr.RestoreFrom(p)
+		tr.TrainEpochs(1, nil)
 	})
 }

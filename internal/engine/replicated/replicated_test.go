@@ -53,7 +53,7 @@ type stubMember struct {
 	mu sync.Mutex
 
 	commits int // PrepareStage + BeginStep + StepStage calls
-	synced  int // SyncFromLeader (serial broadcast)
+	synced  int // SetStep (serial broadcast)
 	imports int // ImportStageState (sharded gather)
 }
 
@@ -76,7 +76,7 @@ func (m *stubMember) ScaleStage(int, float64)             {}
 func (m *stubMember) FinishStage(int)                     {}
 func (m *stubMember) StageState(int) []*tensor.Tensor     { return []*tensor.Tensor{tensor.New(1)} }
 func (m *stubMember) SetStageGrads(int, []*tensor.Tensor) {}
-func (m *stubMember) SyncEpoch()                          {}
+func (m *stubMember) SetEpoch(int)                        {}
 
 func (m *stubMember) PrepareStage(_, _ int) float64 {
 	m.mu.Lock()
@@ -112,11 +112,13 @@ func (m *stubMember) ImportStageState(int, []*tensor.Tensor) {
 	m.imports++
 }
 
-func (m *stubMember) SyncFromLeader() {
+func (m *stubMember) SetStep(int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.synced++
 }
+
+func (m *stubMember) RestoreVersions(int, int, [][]*tensor.Tensor) {}
 
 // stubLeader owns one follower and enables the sharded commit, so the
 // cancellation test exercises the sharded protocol's gate.
@@ -129,6 +131,8 @@ func (l *stubLeader) Replicas() int                   { return 2 }
 func (l *stubLeader) Follower(int) replica.Member     { return l.follower }
 func (l *stubLeader) ShardedStep() bool               { return true }
 func (l *stubLeader) CommitShards() engine.CommitPlan { return engine.NewCommitPlan(l.p, 2) }
+func (l *stubLeader) Step() int                       { return 0 }
+func (l *stubLeader) Epoch() int                      { return 0 }
 
 var _ replica.Leader = (*stubLeader)(nil)
 

@@ -55,16 +55,6 @@ type Evictor interface {
 	EvictFollower(r int)
 }
 
-// VersionRestorer is implemented by members that can replace a stage's
-// weight-version ring wholesale — the checkpoint-restore surface. base
-// is the ring's oldest version number; snaps are the versions oldest to
-// newest. Restoring the ring (not just the latest weights) keeps
-// historical-version installs after a resume bit-identical to the
-// checkpointed run's.
-type VersionRestorer interface {
-	RestoreVersions(stage, base int, snaps [][]*tensor.Tensor)
-}
-
 // CanEvict reports whether member pos's failure err may be handled by
 // eviction instead of aborting the run. The leader (pos 0) is never
 // evictable, cancellation is the caller's intent rather than a fault,

@@ -69,19 +69,23 @@ type Member interface {
 	// (masters, then T2 δ and corrected when enabled) in a fixed layout;
 	// the returned tensors are read-only for the gather.
 	StageState(stage int) []*tensor.Tensor
-	// ImportStageState copies a stage's post-step state from the owner's
-	// StageState layout and pushes the replica's next weight version for
-	// that stage — the gather half of the sharded commit.
+	// ImportStageState copies a stage's post-step state from another
+	// replica's StageState layout and pushes the replica's next weight
+	// version for that stage. It is the one way stage state enters a
+	// replica: the sharded gather, the leader-serial broadcast, and the
+	// restore and join handoffs all go through it.
 	ImportStageState(stage int, src []*tensor.Tensor)
-	// SyncEpoch aligns a follower's epoch clock with its leader's so the
-	// commit-phase learning rates (T1/T3 phase) agree on every owner.
-	SyncEpoch()
-	// SyncFromLeader imports the leader replica's post-step state —
-	// master weights and technique (T2) accumulators — and pushes the
-	// replica's next per-stage weight version, keeping the follower's
-	// version queue aligned with the leader's. It is the full-state
-	// broadcast of the leader-serial (non-sharded) commit.
-	SyncFromLeader()
+	// SetEpoch aligns the epoch clock so the commit-phase learning rates
+	// (T1/T3 phase) agree on every owner.
+	SetEpoch(epoch int)
+	// SetStep aligns the optimizer step clock (and the optimizer's own
+	// update counter when its full moment state is resident).
+	SetStep(step int)
+	// RestoreVersions replaces a stage's weight-version ring wholesale:
+	// base is the oldest version number, snaps the versions oldest to
+	// newest. Restoring the ring, not just the latest weights, keeps
+	// historical-version installs bit-identical after a restore or join.
+	RestoreVersions(stage, base int, snaps [][]*tensor.Tensor)
 }
 
 // Leader extends Member for the replica that owns the followers (the
@@ -102,6 +106,10 @@ type Leader interface {
 	// moment shards from, so commit ownership and state ownership cannot
 	// drift apart.
 	CommitShards() engine.CommitPlan
+	// Step returns the leader's optimizer step clock.
+	Step() int
+	// Epoch returns the leader's epoch clock.
+	Epoch() int
 }
 
 // Aware marks execution engines that understand the replica surface and
@@ -304,12 +312,23 @@ func (g *Group) Broadcast() error {
 		go func() {
 			defer wg.Done()
 			t0 := tk.Now()
-			m.member.SyncFromLeader()
+			PushState(g.lead, m.member)
 			tk.Span(trace.NameBroadcast, t0, -1, -1, 0)
 		}()
 	}
 	wg.Wait()
 	return g.Err()
+}
+
+// PushState copies the leader's post-step state into m: every stage's
+// StageState through ImportStageState (which also pushes m's version
+// queue, as the leader's FinishStage did), then the step clock. It is the
+// leader-serial broadcast, and the core of the restore and join handoffs.
+func PushState(lead Leader, m Member) {
+	for st := 0; st < lead.Stages(); st++ {
+		m.ImportStageState(st, lead.StageState(st))
+	}
+	m.SetStep(lead.Step())
 }
 
 // Commit commits one shared optimizer step for the minibatch Reduce just
@@ -353,7 +372,7 @@ func (g *Group) Commit(nMicro int) error {
 //     reduced gradients (scattered), moment state (stepped only by the
 //     owner, every step, from identical inputs), step clocks (every
 //     member advances once per commit), τ delays and schedules (identical
-//     by construction), the epoch phase (SyncEpoch) — is bitwise equal to
+//     by construction), the epoch phase (SetEpoch) — is bitwise equal to
 //     the leader's, so the owner performs bitwise the arithmetic the
 //     leader would have.
 //  3. Cross-stage reductions keep stage order. The clip-norm partials are
@@ -371,7 +390,7 @@ func (g *Group) shardedCommit(nMicro int) error {
 	t0 := g.rec.Now()
 	var scatterBytes int64
 	for _, m := range g.members[1:] {
-		m.member.SyncEpoch()
+		m.member.SetEpoch(g.lead.Epoch())
 	}
 	if g.scatter == nil {
 		g.scatter = make([][]*tensor.Tensor, p)

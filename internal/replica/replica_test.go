@@ -21,7 +21,7 @@ type fakeMember struct {
 	p      int
 	mu     sync.Mutex
 	acc    []float64 // per-stage accumulator
-	synced int       // SyncFromLeader calls
+	synced int       // SetStep calls: one per full-state push
 	folds  [][]float64
 
 	// Sharded-commit recording: per-stage commit-phase call counts and
@@ -138,17 +138,19 @@ func (f *fakeMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	f.state[stage] = src[0].Data[0]
 }
 
-func (f *fakeMember) SyncEpoch() {
+func (f *fakeMember) SetEpoch(int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.epochSyncs++
 }
 
-func (f *fakeMember) SyncFromLeader() {
+func (f *fakeMember) SetStep(int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.synced++
 }
+
+func (f *fakeMember) RestoreVersions(int, int, [][]*tensor.Tensor) {}
 
 // fakeLead is a fakeMember that owns followers.
 type fakeLead struct {
@@ -163,6 +165,8 @@ func (f *fakeLead) ShardedStep() bool             { return f.sharded }
 func (f *fakeLead) CommitShards() engine.CommitPlan {
 	return engine.NewCommitPlan(f.p, f.Replicas())
 }
+func (f *fakeLead) Step() int  { return 0 }
+func (f *fakeLead) Epoch() int { return 0 }
 
 var _ replica.Leader = (*fakeLead)(nil)
 
@@ -264,7 +268,7 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 // owner; the leader's reduced gradient reaches the owner by pure copy
 // (and leaves the leader's accumulator empty); every member advances its
 // step clock exactly once; every non-owner imports exactly the owner's
-// post-step state; and no full SyncFromLeader broadcast runs.
+// post-step state; and no full-state broadcast runs.
 func TestGroupShardedCommitProtocol(t *testing.T) {
 	const p, r = 5, 3
 	lead := &fakeLead{fakeMember: newFakeMember(p), sharded: true}
@@ -314,7 +318,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 			t.Fatalf("member %d advanced its step clock %d times, want exactly 1", i, m.beginSteps)
 		}
 		if m.synced != 0 {
-			t.Fatalf("member %d ran the full SyncFromLeader broadcast under the sharded commit", i)
+			t.Fatalf("member %d ran the full-state broadcast under the sharded commit", i)
 		}
 	}
 	for i, m := range lead.followers {

@@ -7,9 +7,10 @@ import (
 )
 
 // Exported payload codec. The checkpoint writer (internal/core) encodes
-// trainer state with the exact primitives the wire uses — big-endian
-// integers, raw IEEE-754 float bits, counted tensor lists — so a
-// checkpoint file round-trips state as bit-exactly as a collective does.
+// trainer state with the exact primitives and payloads the wire uses —
+// big-endian integers, raw IEEE-754 float bits, counted tensor lists, the
+// ring encoding — so a checkpoint file round-trips state as bit-exactly
+// as a collective does.
 
 // AppendU32 appends a big-endian uint32.
 func AppendU32(dst []byte, v uint32) []byte { return appendU32(dst, v) }
@@ -17,17 +18,34 @@ func AppendU32(dst []byte, v uint32) []byte { return appendU32(dst, v) }
 // AppendU64 appends a big-endian uint64.
 func AppendU64(dst []byte, v uint64) []byte { return appendU64(dst, v) }
 
-// AppendF64 appends the raw IEEE-754 bits of v.
-func AppendF64(dst []byte, v float64) []byte { return appendF64(dst, v) }
-
 // AppendBool appends one byte, 1 for true.
 func AppendBool(dst []byte, v bool) []byte { return appendBool(dst, v) }
 
-// AppendTensor appends one tensor (rank, dims, raw float bits).
-func AppendTensor(dst []byte, t *tensor.Tensor) []byte { return appendTensor(dst, t) }
-
 // AppendTensors appends a counted tensor list.
 func AppendTensors(dst []byte, ts []*tensor.Tensor) []byte { return appendTensors(dst, ts) }
+
+// AppendRing appends a stage's weight-version ring: the oldest retained
+// version number, the snapshot count, then each snapshot (oldest first)
+// as a counted tensor list. MsgSetRing and the checkpoint's ring section
+// both carry exactly this payload.
+func AppendRing(dst []byte, base int, snaps [][]*tensor.Tensor) []byte {
+	dst = appendU32(dst, uint32(base))
+	dst = appendU32(dst, uint32(len(snaps)))
+	for _, snap := range snaps {
+		dst = appendTensors(dst, snap)
+	}
+	return dst
+}
+
+// ring decodes an AppendRing payload.
+func (c *cursor) ring() (base int, snaps [][]*tensor.Tensor) {
+	base = c.i32()
+	snaps = make([][]*tensor.Tensor, c.count(4))
+	for i := range snaps {
+		snaps[i] = c.tensorsInto(nil)
+	}
+	return base, snaps
+}
 
 // Cursor reads a payload left to right, latching the first error — the
 // exported face of the wire decoder for checkpoint readers.
@@ -36,14 +54,8 @@ type Cursor struct{ c cursor }
 // NewCursor reads b.
 func NewCursor(b []byte) *Cursor { return &Cursor{c: cursor{b: b}} }
 
-// U32 decodes a big-endian uint32.
-func (r *Cursor) U32() uint32 { return r.c.u32() }
-
 // U64 decodes a big-endian uint64.
 func (r *Cursor) U64() uint64 { return r.c.u64() }
-
-// F64 decodes raw IEEE-754 bits.
-func (r *Cursor) F64() float64 { return r.c.f64() }
 
 // Bool decodes one byte as a bool.
 func (r *Cursor) Bool() bool { return r.c.boolean() }
@@ -51,15 +63,11 @@ func (r *Cursor) Bool() bool { return r.c.boolean() }
 // I32 decodes a u32 written from a signed int back to that int.
 func (r *Cursor) I32() int { return r.c.i32() }
 
-// Count decodes a bounded element count (each element needs at least
-// min remaining bytes).
-func (r *Cursor) Count(min int) int { return r.c.count(min) }
-
 // TensorsInto decodes a counted tensor list, reusing bufs elementwise.
 func (r *Cursor) TensorsInto(bufs []*tensor.Tensor) []*tensor.Tensor { return r.c.tensorsInto(bufs) }
 
-// Rest returns the undecoded remainder.
-func (r *Cursor) Rest() []byte { return r.c.b }
+// Ring decodes a weight-version ring written by AppendRing.
+func (r *Cursor) Ring() (base int, snaps [][]*tensor.Tensor) { return r.c.ring() }
 
 // Err returns the latched decode error, if any.
 func (r *Cursor) Err() error { return r.c.err }

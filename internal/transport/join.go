@@ -13,11 +13,12 @@ import (
 // state in flight — then either rejects (MsgErr) or admits: it sends the
 // full Spec (MsgWelcome), the worker builds its follower and confirms
 // (MsgJoinOK), and the leader performs the live state handoff over the
-// ordinary collective surface (SyncEpoch, SyncFromLeader, MsgSetRing)
-// before growing the reduce tree. Unlike the MsgHello handshake, the
-// Welcome spec carries no state checksum: the joiner's initial state is
-// irrelevant because every tensor it will train from arrives in the
-// handoff.
+// ordinary member surface (SetEpoch, ImportStageState per stage,
+// SetStep, RestoreVersions per stage — the same push a checkpoint
+// restore makes) before growing the reduce tree. Unlike the MsgHello
+// handshake, the Welcome spec carries no state checksum: the joiner's
+// initial state is irrelevant because every tensor it will train from
+// arrives in the handoff.
 
 // JoinSpec is what a joiner announces in MsgJoin: the task shape it was
 // built for. The leader rejects a mismatch (wrong stage count, method or
@@ -80,8 +81,8 @@ func RejectJoin(ctx context.Context, conn MsgConn, reason string) {
 // commit mode) and waits for MsgJoinOK, returning the member proxy ready
 // for the state handoff. The caller rebuilds the group over R+1 members
 // only after the handoff succeeds.
-func Welcome(ctx context.Context, conn MsgConn, spec Spec, lead LeaderState) (*RemoteMember, error) {
-	m := newMember(conn, spec, lead)
+func Welcome(ctx context.Context, conn MsgConn, spec Spec) (*RemoteMember, error) {
+	m := newMember(conn, spec)
 	resp, err := m.roundTrip(ctx, Msg{Type: MsgWelcome, Replica: uint16(spec.Replica), Stage: -1, Data: spec.encode()})
 	if err != nil {
 		return nil, fmt.Errorf("transport: welcoming replica %d: %w", spec.Replica, err)
@@ -135,12 +136,8 @@ func ServeJoin(ctx context.Context, conn MsgConn, cap JoinSpec, build Builder, i
 	// No checksum: the joiner's state is fully replaced by the handoff.
 	// The clocks still align here so the follower is consistent the
 	// moment the serve loop starts.
-	if cs, ok := member.(ClockSetter); ok {
-		cs.SetStep(spec.Step)
-		cs.SetEpoch(spec.Epoch)
-	} else if spec.Step != 0 || spec.Epoch != 0 {
-		return reject("leader clocks (step %d, epoch %d) cannot be applied: member has no clock setters", spec.Step, spec.Epoch)
-	}
+	member.SetStep(spec.Step)
+	member.SetEpoch(spec.Epoch)
 	if err := s.reply(ctx, Msg{Type: MsgJoinOK, Stage: -1}); err != nil {
 		return fmt.Errorf("transport: join: %w", err)
 	}

@@ -13,16 +13,6 @@ import (
 	"pipemare/internal/trace"
 )
 
-// LeaderState is what RemoteMember reads from the local leader replica
-// to serve the leader-originated syncs: the per-stage post-step state
-// for the full broadcast, and the step/epoch clocks. The trainer's host
-// (internal/core) satisfies it.
-type LeaderState interface {
-	StateSource
-	Step() int
-	Epoch() int
-}
-
 // RemoteMember is the leader-side proxy for a follower replica hosted in
 // another process (or another goroutine, over the loopback transport).
 // It implements replica.Member — the collective surface replica.Group
@@ -39,7 +29,6 @@ type RemoteMember struct {
 	conn    MsgConn
 	replica int
 	stages  int
-	lead    LeaderState
 	hb      time.Duration // heartbeat interval (0 disables the liveness window)
 
 	mu     sync.Mutex
@@ -73,10 +62,9 @@ type RemoteMember struct {
 
 // NewRemoteMember dials nothing — conn is already established — but runs
 // the handshake: it announces spec, waits for the worker's verdict, and
-// returns the proxy on MsgHelloOK. lead is the local leader replica the
-// proxy reads when serving SyncEpoch/SyncFromLeader.
-func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec, lead LeaderState) (*RemoteMember, error) {
-	m := newMember(conn, spec, lead)
+// returns the proxy on MsgHelloOK.
+func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec) (*RemoteMember, error) {
+	m := newMember(conn, spec)
 	resp, err := m.roundTrip(ctx, Msg{Type: MsgHello, Replica: uint16(spec.Replica), Stage: -1, Data: spec.encode()})
 	if err != nil {
 		return nil, fmt.Errorf("transport: handshake with replica %d: %w", spec.Replica, err)
@@ -90,12 +78,11 @@ func NewRemoteMember(ctx context.Context, conn MsgConn, spec Spec, lead LeaderSt
 // newMember builds the proxy without running any handshake — shared by
 // NewRemoteMember (the MsgHello path) and the join admission path, whose
 // handshake (MsgWelcome/MsgJoinOK) the caller runs itself.
-func newMember(conn MsgConn, spec Spec, lead LeaderState) *RemoteMember {
+func newMember(conn MsgConn, spec Spec) *RemoteMember {
 	return &RemoteMember{
 		conn:    conn,
 		replica: spec.Replica,
 		stages:  spec.Stages,
-		lead:    lead,
 		hb:      spec.Heartbeat,
 		ctx:     context.Background(),
 		jit:     uint64(spec.Replica)*0x9E3779B97F4A7C15 + 1,
@@ -582,41 +569,27 @@ func (m *RemoteMember) StageState(stage int) []*tensor.Tensor {
 	return m.states[stage]
 }
 
-// ImportStageState ships an owner's post-step stage state to the worker,
-// which imports it and pushes its version queue.
+// ImportStageState ships a stage's state (an owner's post-step state, or
+// the leader's in a broadcast or handoff) to the worker, which imports it
+// and pushes its version queue.
 func (m *RemoteMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	m.call(m.stageMsg(MsgSetState, stage, appendTensors(nil, src)), MsgAck)
 }
 
-// RestoreVersions ships a stage's weight-version ring to the worker
-// (checkpoint restore): the ring's base version number and its
-// snapshots, oldest to newest. The worker replaces its ring wholesale,
-// so historical-version installs after a restore are bit-identical to
-// the checkpointed run's (replica.VersionRestorer).
+// RestoreVersions ships a stage's weight-version ring to the worker,
+// which replaces its ring wholesale.
 func (m *RemoteMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
-	b := appendU32(nil, uint32(base))
-	b = appendU32(b, uint32(len(snaps)))
-	for _, snap := range snaps {
-		b = appendTensors(b, snap)
-	}
-	m.call(m.stageMsg(MsgSetRing, stage, b), MsgAck)
+	m.call(m.stageMsg(MsgSetRing, stage, AppendRing(nil, base, snaps)), MsgAck)
 }
 
-// SyncEpoch pushes the leader's epoch clock to the worker.
-func (m *RemoteMember) SyncEpoch() {
-	m.call(Msg{Type: MsgSyncEpoch, Stage: -1, Data: appendU32(nil, uint32(m.lead.Epoch()))}, MsgAck)
+// SetEpoch aligns the worker's epoch clock.
+func (m *RemoteMember) SetEpoch(epoch int) {
+	m.call(Msg{Type: MsgSyncEpoch, Stage: -1, Data: appendU32(nil, uint32(epoch))}, MsgAck)
 }
 
-// SyncFromLeader is the full-state broadcast of the leader-serial
-// commit: every stage's leader state ships to the worker (chunked for
-// large tensors), then the step clock aligns.
-func (m *RemoteMember) SyncFromLeader() {
-	for st := 0; st < m.stages; st++ {
-		if _, err := m.call(m.stageMsg(MsgSetState, st, appendTensors(nil, m.lead.StageState(st))), MsgAck); err != nil {
-			return
-		}
-	}
-	m.call(Msg{Type: MsgSync, Stage: -1, Data: appendU32(nil, uint32(m.lead.Step()))}, MsgAck)
+// SetStep aligns the worker's step clock.
+func (m *RemoteMember) SetStep(step int) {
+	m.call(Msg{Type: MsgSync, Stage: -1, Data: appendU32(nil, uint32(step))}, MsgAck)
 }
 
 func (m *RemoteMember) fail(err error) {
@@ -697,9 +670,8 @@ func (m *RemoteMember) BadLoss(loss float64) bool { panic(m.remoteSlot("BadLoss"
 func (m *RemoteMember) ClipScale(sumSq float64) float64 { panic(m.remoteSlot("ClipScale")) }
 
 var (
-	_ replica.Member          = (*RemoteMember)(nil)
-	_ replica.Runner          = (*RemoteMember)(nil)
-	_ replica.Erring          = (*RemoteMember)(nil)
-	_ replica.VersionRestorer = (*RemoteMember)(nil)
-	_ replica.Standby         = (*RemoteMember)(nil)
+	_ replica.Member  = (*RemoteMember)(nil)
+	_ replica.Runner  = (*RemoteMember)(nil)
+	_ replica.Erring  = (*RemoteMember)(nil)
+	_ replica.Standby = (*RemoteMember)(nil)
 )

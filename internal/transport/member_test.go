@@ -13,19 +13,20 @@ import (
 	"pipemare/internal/tensor"
 )
 
-// wireMember is a full fake replica.Member (plus ClockSetter) with one
-// scalar parameter per stage, for exercising the member/server protocol
+// wireMember is a full fake replica.Member with one scalar parameter per
+// stage, for exercising the member/server protocol
 // without a trainer: forward returns a distinct loss per microbatch,
 // backward accumulates s+1, state is a per-stage scalar.
 type wireMember struct {
 	p  int
 	mu sync.Mutex
 
-	acc    []float64
-	state  []*tensor.Tensor
-	step   int
-	epoch  int
-	synced int
+	acc   []float64
+	state []*tensor.Tensor
+	step  int
+	epoch int
+	ring  [][]*tensor.Tensor // last RestoreVersions snapshots
+	base  int                // last RestoreVersions base
 
 	prepared []int
 	stepped  []int
@@ -120,29 +121,16 @@ func (m *wireMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	m.state[stage].CopyFrom(src[0])
 }
 
-func (m *wireMember) SyncEpoch() {}
-
-func (m *wireMember) SyncFromLeader() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.synced++
-}
-
 func (m *wireMember) SetStep(step int)   { m.mu.Lock(); m.step = step; m.mu.Unlock() }
 func (m *wireMember) SetEpoch(epoch int) { m.mu.Lock(); m.epoch = epoch; m.mu.Unlock() }
 
-var (
-	_ replica.Member = (*wireMember)(nil)
-	_ ClockSetter    = (*wireMember)(nil)
-)
-
-// leadState is the leader-side state the remote proxy reads for syncs.
-type leadState struct {
-	*wireMember
+func (m *wireMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.base, m.ring = base, snaps
 }
 
-func (l leadState) Step() int  { return 7 }
-func (l leadState) Epoch() int { return 3 }
+var _ replica.Member = (*wireMember)(nil)
 
 // startPair serves a wireMember over loopback and returns the connected
 // leader-side proxy plus the worker's member for inspection.
@@ -161,8 +149,8 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 		t.Fatal(err)
 	}
 	spec := Spec{Replica: 1, Replicas: 2, Stages: p, Step: 7, Epoch: 3,
-		Checksum: StateChecksum(leadState{leader}, p)}
-	m, err := NewRemoteMember(ctx, conn, spec, leadState{leader})
+		Checksum: StateChecksum(leader, p)}
+	m, err := NewRemoteMember(ctx, conn, spec)
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
@@ -182,7 +170,7 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 // the same arguments and results as a direct call.
 func TestRemoteMemberProtocol(t *testing.T) {
 	const p = 3
-	m, worker, _, stop := startPair(t, p)
+	m, worker, leader, stop := startPair(t, p)
 	defer stop()
 
 	// Handshake applied the leader's clocks.
@@ -233,12 +221,16 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	}
 	worker.mu.Unlock()
 
-	// Epoch sync and the full leader-state broadcast.
-	m.SyncEpoch()
-	m.SyncFromLeader()
+	// Epoch sync and the full leader-state broadcast (replica.PushState:
+	// every stage's state, then the step clock).
+	m.SetEpoch(3)
+	for s := 0; s < p; s++ {
+		m.ImportStageState(s, leader.StageState(s))
+	}
+	m.SetStep(7)
 	worker.mu.Lock()
 	if worker.epoch != 3 {
-		t.Fatalf("worker epoch %d after SyncEpoch, want 3", worker.epoch)
+		t.Fatalf("worker epoch %d after SetEpoch, want 3", worker.epoch)
 	}
 	if worker.step != 7 {
 		t.Fatalf("worker step %d after broadcast, want the leader's 7", worker.step)
@@ -251,6 +243,33 @@ func TestRemoteMemberProtocol(t *testing.T) {
 	worker.mu.Unlock()
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRemoteMemberRestoreVersions pins the ring handoff over the wire:
+// the worker receives the leader's base and snapshots bit for bit.
+func TestRemoteMemberRestoreVersions(t *testing.T) {
+	m, worker, _, stop := startPair(t, 2)
+	defer stop()
+	snaps := make([][]*tensor.Tensor, 3)
+	for k := range snaps {
+		v := tensor.New(2)
+		v.Data[0], v.Data[1] = float64(k), -float64(k)/3
+		snaps[k] = []*tensor.Tensor{v}
+	}
+	m.RestoreVersions(1, 41, snaps)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	worker.mu.Lock()
+	defer worker.mu.Unlock()
+	if worker.base != 41 || len(worker.ring) != len(snaps) {
+		t.Fatalf("worker ring base %d with %d snapshots, want 41 with %d", worker.base, len(worker.ring), len(snaps))
+	}
+	for k, snap := range snaps {
+		if got := worker.ring[k][0]; got.Data[0] != snap[0].Data[0] || got.Data[1] != snap[0].Data[1] {
+			t.Fatalf("snapshot %d arrived as %v, want %v", k, got.Data, snap[0].Data)
+		}
 	}
 }
 
@@ -273,8 +292,8 @@ func TestHandshakeRejectsMismatchedState(t *testing.T) {
 	defer conn.Close()
 	leader := newWireMember(p)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: p,
-		Checksum: StateChecksum(leadState{leader}, p) + 1} // poisoned
-	if _, err := NewRemoteMember(ctx, conn, spec, leadState{leader}); err == nil ||
+		Checksum: StateChecksum(leader, p) + 1} // poisoned
+	if _, err := NewRemoteMember(ctx, conn, spec); err == nil ||
 		!strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("handshake err = %v, want a checksum mismatch", err)
 	}
@@ -295,8 +314,8 @@ func TestHandshakeRejectsStageMismatch(t *testing.T) {
 	defer conn.Close()
 	leader := newWireMember(2)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leadState{leader}, 2)}
-	if _, err := NewRemoteMember(ctx, conn, spec, leadState{leader}); err == nil ||
+		Checksum: StateChecksum(leader, 2)}
+	if _, err := NewRemoteMember(ctx, conn, spec); err == nil ||
 		!strings.Contains(err.Error(), "stages") {
 		t.Fatalf("handshake err = %v, want a stage mismatch", err)
 	}
@@ -332,8 +351,8 @@ func TestCancelMidCollectiveUnwinds(t *testing.T) {
 	}
 	leader := newWireMember(2)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leadState{leader}, 2)}
-	m, err := NewRemoteMember(ctx, conn, spec, leadState{leader})
+		Checksum: StateChecksum(leader, 2)}
+	m, err := NewRemoteMember(ctx, conn, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +406,8 @@ func TestWorkerDeathMidChunkIsAnError(t *testing.T) {
 	}
 	leader := newWireMember(2)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leadState{leader}, 2)}
-	m, err := NewRemoteMember(ctx, conn, spec, leadState{leader})
+		Checksum: StateChecksum(leader, 2)}
+	m, err := NewRemoteMember(ctx, conn, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +443,7 @@ func TestServerSurvivesMalformedRequests(t *testing.T) {
 	defer conn.Close()
 	leader := newWireMember(2)
 	spec := Spec{Replica: 1, Replicas: 2, Stages: 2,
-		Checksum: StateChecksum(leadState{leader}, 2)}
+		Checksum: StateChecksum(leader, 2)}
 	if err := conn.Send(ctx, Msg{Type: MsgHello, Replica: 1, Stage: -1, Data: spec.encode()}); err != nil {
 		t.Fatal(err)
 	}

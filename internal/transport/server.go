@@ -8,7 +8,6 @@ import (
 
 	"pipemare/internal/engine"
 	"pipemare/internal/replica"
-	"pipemare/internal/tensor"
 )
 
 // Builder constructs (or verifies) the worker's local follower member
@@ -18,15 +17,6 @@ import (
 // replica count, commit mode, pinned partition costs) needs no worker
 // flags.
 type Builder func(spec Spec) (replica.Member, error)
-
-// ClockSetter is the clock-alignment surface the serve loop writes:
-// MsgSync sets the follower's step clock after a full-state broadcast,
-// and MsgSyncEpoch aligns its epoch clock before a sharded commit. The
-// trainer's member (internal/core) satisfies it.
-type ClockSetter interface {
-	SetStep(step int)
-	SetEpoch(epoch int)
-}
 
 // Serve accepts one leader connection on lis and serves it until the
 // leader says goodbye, the connection drops, or ctx ends. inner is the
@@ -128,12 +118,8 @@ func (s *server) handshake(ctx context.Context, build Builder) (replica.Member, 
 	if got := StateChecksum(member, spec.Stages); got != spec.Checksum {
 		return reject("initial state checksum %#08x differs from leader's %#08x (seed, task or partition mismatch)", got, spec.Checksum)
 	}
-	if cs, ok := member.(ClockSetter); ok {
-		cs.SetStep(spec.Step)
-		cs.SetEpoch(spec.Epoch)
-	} else if spec.Step != 0 || spec.Epoch != 0 {
-		return reject("leader clocks (step %d, epoch %d) cannot be applied: member has no clock setters", spec.Step, spec.Epoch)
-	}
+	member.SetStep(spec.Step)
+	member.SetEpoch(spec.Epoch)
 	if err := s.reply(ctx, Msg{Type: MsgHelloOK, Stage: -1}); err != nil {
 		return nil, fmt.Errorf("transport: handshake: %w", err)
 	}
@@ -220,42 +206,25 @@ func (s *server) dispatch(ctx context.Context, req Msg) (resp Msg, fatal error) 
 		s.member.ImportStageState(stage, bufs)
 		return ack, nil
 	case MsgSetRing:
-		base := c.i32()
-		nSnaps := c.count(4)
-		snaps := make([][]*tensor.Tensor, nSnaps)
-		for i := range snaps {
-			snaps[i] = c.tensorsInto(nil)
-		}
+		base, snaps := c.ring()
 		if err := c.done(); err != nil {
 			return Msg{}, err
 		}
-		vr, ok := s.member.(replica.VersionRestorer)
-		if !ok {
-			return Msg{}, fmt.Errorf("member cannot restore version rings")
-		}
-		vr.RestoreVersions(stage, base, snaps)
+		s.member.RestoreVersions(stage, base, snaps)
 		return ack, nil
 	case MsgSyncEpoch:
 		epoch := c.i32()
 		if err := c.done(); err != nil {
 			return Msg{}, err
 		}
-		cs, ok := s.member.(ClockSetter)
-		if !ok {
-			return Msg{}, fmt.Errorf("member has no epoch clock setter")
-		}
-		cs.SetEpoch(epoch)
+		s.member.SetEpoch(epoch)
 		return ack, nil
 	case MsgSync:
 		step := c.i32()
 		if err := c.done(); err != nil {
 			return Msg{}, err
 		}
-		cs, ok := s.member.(ClockSetter)
-		if !ok {
-			return Msg{}, fmt.Errorf("member has no step clock setter")
-		}
-		cs.SetStep(step)
+		s.member.SetStep(step)
 		return ack, nil
 	}
 	return Msg{}, fmt.Errorf("unknown request type %d", req.Type)

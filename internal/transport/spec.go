@@ -88,8 +88,8 @@ func decodeSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// StateSource is the per-stage state surface the checksum (and the
-// leader-serial broadcast) reads. replica.Member satisfies it.
+// StateSource is the per-stage state surface the checksum reads.
+// replica.Member satisfies it.
 type StateSource interface {
 	StageState(stage int) []*tensor.Tensor
 }
