@@ -151,6 +151,11 @@ func methodOpts(m pipemare.Method) []pipemare.Option {
 		opts = append(opts, pipemare.WithT1(12), pipemare.WithT2(0.3),
 			pipemare.WithT3(1), pipemare.WithClipNorm(2), pipemare.WithRecompute(2))
 	}
+	if m == pipemare.Hogwild {
+		// Every technique the method accepts: T1 on the mean delays, T3
+		// warmup and clipping (recompute is rejected).
+		opts = append(opts, pipemare.WithT1(12), pipemare.WithT3(1), pipemare.WithClipNorm(2))
+	}
 	return opts
 }
 
@@ -340,6 +345,16 @@ func TestEnginesEquivalentAcrossSchedulerGrid(t *testing.T) {
 			name: "dnn", p: 4, epochs: 3,
 			build: func() pipemare.Task { return model.NewResNetMLP(images, 8, 4, 3) },
 			opts: append(methodOpts(pipemare.PipeMare),
+				pipemare.WithStages(4),
+				pipemare.WithBatchSize(16), pipemare.WithMicrobatches(4),
+				pipemare.WithSchedule(optim.Constant(0.05))),
+		},
+		{
+			// Appendix E's random delays: installs read drawn versions of
+			// the whole 26-snapshot ring while chains overlap.
+			name: "dnn-hogwild", p: 4, epochs: 4,
+			build: func() pipemare.Task { return model.NewResNetMLP(images, 8, 4, 3) },
+			opts: append(methodOpts(pipemare.Hogwild),
 				pipemare.WithStages(4),
 				pipemare.WithBatchSize(16), pipemare.WithMicrobatches(4),
 				pipemare.WithSchedule(optim.Constant(0.05))),
@@ -563,6 +578,27 @@ func TestReplicatedEngineMatchesReference(t *testing.T) {
 			got := runCurve(t, build, 3, r, opts...)
 			requireIdentical(t, fmt.Sprintf("replicated/R=%d/%s", r, inner), ref, got)
 		}
+	}
+}
+
+// TestReplicatedHogwildMatchesReference pins Appendix E's random delays
+// under data parallelism: two in-process replicas, over either inner
+// engine, draw the same delays as the single-replica Reference run
+// because the draw is a pure function of (seed, minibatch, stage).
+func TestReplicatedHogwildMatchesReference(t *testing.T) {
+	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
+		Train: 96, Test: 32, Noise: 0.4, Seed: 6})
+	build := func() pipemare.Task { return model.NewResNetMLP(images, 10, 4, 8) }
+	base := append(methodOpts(pipemare.Hogwild),
+		pipemare.WithStages(4),
+		pipemare.WithBatchSize(32), pipemare.WithMicrobatches(8),
+		pipemare.WithSchedule(optim.Constant(0.05)))
+	ref := runCurve(t, build, 4, 1, base...)
+	for _, inner := range []string{"reference", "concurrent"} {
+		opts := append(append([]pipemare.Option{}, base...),
+			pipemare.WithReplicas(2), pipemare.WithEngine(replicatedEngine(inner)))
+		got := runCurve(t, build, 4, 2, opts...)
+		requireIdentical(t, "replicated-hogwild/R=2/"+inner, ref, got)
 	}
 }
 

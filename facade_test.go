@@ -46,10 +46,10 @@ func TestFacadeTrainsEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTrainEpochsStillWorks keeps the deprecated curve-chaining entry
-// point covered now that the NewTrainer shim is gone: trainers built with
-// New must still honour TrainEpochs.
-func TestTrainEpochsStillWorks(t *testing.T) {
+// TestRunWithoutObserverTrains pins a plain New + Run round trip — no
+// observer, microbatches set by size — to the same accuracy bar as the
+// observed run above.
+func TestRunWithoutObserverTrains(t *testing.T) {
 	images := data.NewImages(data.ImagesConfig{Classes: 4, C: 1, H: 4, W: 4,
 		Train: 128, Test: 64, Noise: 0.4, Seed: 1})
 	task := model.NewResNetMLP(images, 12, 5, 2)
@@ -64,7 +64,10 @@ func TestTrainEpochsStillWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := tr.TrainEpochs(10, nil)
+	run, err := tr.Run(context.Background(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if run.Diverged {
 		t.Fatal("training diverged")
 	}

@@ -232,47 +232,63 @@ func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoreResumesBitIdentical pins the checkpoint/restore
-// satellite at an epoch boundary: a run checkpointed every 4 steps (one
+// TestCheckpointRestoreResumesBitIdentical pins checkpoint/restore at an
+// epoch boundary, for the PipeMare and Hogwild methods: a run
+// checkpointed every 4 steps (one
 // epoch) for 3 epochs, restored via pipemare.Restore into a fresh
 // trainer, must retrace epochs 4–6 of the uninterrupted reference
 // exactly — loss, metric and parameter norm. The restored replica count
 // also shrinks from 3 (in-process) to 2, exercising the elastic-
 // membership claim without a transport in the loop.
 func TestCheckpointRestoreResumesBitIdentical(t *testing.T) {
-	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 24) }
-	base := ftBase()
-	ref := runCurve(t, build, 6, 1, base...)
-	dir := t.TempDir()
-	tr1, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
-		pipemare.WithCheckpoint(dir, 4))...)
-	if err != nil {
-		t.Fatal(err)
+	recipes := []struct {
+		name string
+		base []pipemare.Option
+	}{
+		{"pipemare", ftBase()},
+		// Hogwild's delay draw is a pure function of (seed, minibatch,
+		// stage), so the restored clocks and ring alone replay it.
+		{"hogwild", append(methodOpts(pipemare.Hogwild),
+			pipemare.WithBatchSize(8), pipemare.WithMicrobatches(8),
+			pipemare.WithSchedule(optim.Constant(0.05)))},
 	}
-	head, err := tr1.Run(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
+	for _, rc := range recipes {
+		base := rc.base
+		t.Run(rc.name, func(t *testing.T) {
+			build := func() pipemare.Task { return newQuadTask(4, 32, 8, 24) }
+			ref := runCurve(t, build, 6, 1, base...)
+			dir := t.TempDir()
+			tr1, err := pipemare.New(build(), append(append([]pipemare.Option{}, base...),
+				pipemare.WithReplicas(3), pipemare.WithShardedStep(false),
+				pipemare.WithCheckpoint(dir, 4))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head, err := tr1.Run(context.Background(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, "checkpointed-head", sliceRun(ref, 0, 3), head)
+			if writes, ns := tr1.CheckpointStats(); writes != 3 || ns <= 0 {
+				t.Fatalf("checkpoint stats (%d writes, %dns), want 3 writes and positive time", writes, ns)
+			}
+			if err := tr1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tr2, err := pipemare.Restore(dir, build(), append(append([]pipemare.Option{}, base...),
+				pipemare.WithReplicas(2), pipemare.WithShardedStep(false),
+				pipemare.WithCheckpoint(dir, 4))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr2.Close()
+			tail, err := tr2.Run(context.Background(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdentical(t, "restored-tail", sliceRun(ref, 3, 6), tail)
+		})
 	}
-	requireIdentical(t, "checkpointed-head", sliceRun(ref, 0, 3), head)
-	if writes, ns := tr1.CheckpointStats(); writes != 3 || ns <= 0 {
-		t.Fatalf("checkpoint stats (%d writes, %dns), want 3 writes and positive time", writes, ns)
-	}
-	if err := tr1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := pipemare.Restore(dir, build(), append(append([]pipemare.Option{}, base...),
-		pipemare.WithReplicas(2), pipemare.WithShardedStep(false),
-		pipemare.WithCheckpoint(dir, 4))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr2.Close()
-	tail, err := tr2.Run(context.Background(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "restored-tail", sliceRun(ref, 3, 6), tail)
 }
 
 // TestRestoreLatestSkipsCorruptCheckpoint pins restore robustness: a

@@ -3,7 +3,8 @@
 // rescheduling), Technique 2 (discrepancy correction) and Technique 3
 // (synchronous warmup epochs), plus the two baselines it is compared
 // against — GPipe-style synchronous training and PipeDream-style weight
-// stashing — and the recompute delay path of Appendix D.
+// stashing — the recompute delay path of Appendix D, and the Hogwild!-style
+// random delays of Appendix E.
 //
 // The trainer simulates the pipeline at microbatch granularity using the
 // timing model of package pipeline: for every microbatch it installs the
@@ -50,7 +51,7 @@ import (
 // Method selects the pipeline-parallel training method.
 type Method int
 
-// The three methods of Table 1.
+// The three methods of Table 1, plus Appendix E's Hogwild! delays.
 const (
 	// GPipe is synchronous training: no delay, pipeline bubbles.
 	GPipe Method = iota
@@ -58,6 +59,18 @@ const (
 	PipeDream
 	// PipeMare runs fully asynchronously: τ_fwd = (2(P−i)+1)/N, τ_bkwd = 0.
 	PipeMare
+	// Hogwild computes each stage's whole gradient, forward and backward,
+	// on a stashed snapshot like PipeDream, but the snapshot's delay is
+	// drawn at random per (minibatch, stage) — Appendix E's truncated
+	// exponential with mean 0.8·τmax·(P−i+1)/P and cap τmax = 24 — instead
+	// of following the pipeline clock. τ_fwd = τ_bkwd = that mean.
+	Hogwild
+)
+
+// The Appendix E delay model: the cap τmax and the mean's scale.
+const (
+	hogwildTauMax    = 24
+	hogwildMeanScale = 0.8
 )
 
 // String names the method.
@@ -69,6 +82,8 @@ func (m Method) String() string {
 		return "PipeDream"
 	case PipeMare:
 		return "PipeMare"
+	case Hogwild:
+		return "Hogwild"
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
 }
@@ -467,6 +482,17 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	if cfg.StragglerMisses > 0 && cfg.StragglerDeadline <= 0 {
 		return nil, fmt.Errorf("core: straggler demotion needs a positive deadline (got %v for %d misses)", cfg.StragglerDeadline, cfg.StragglerMisses)
 	}
+	if cfg.Method == Hogwild {
+		// Recompute versions come from the Table 1 clock, and a remote
+		// member's handshake does not carry the seed the delay draw
+		// depends on.
+		switch {
+		case cfg.RecomputeSegments > 0:
+			return nil, fmt.Errorf("core: the Hogwild method cannot recompute: recompute versions follow the Table 1 clock, not the drawn delays")
+		case cfg.Followers != nil || cfg.Elastic:
+			return nil, fmt.Errorf("core: the Hogwild method needs in-process replicas: the wire handshake does not carry the seed its delay draw depends on")
+		}
+	}
 	if cfg.Elastic && replicas < 2 {
 		return nil, fmt.Errorf("core: elastic membership needs a running replica group to grow (Replicas >= 2), got %d", replicas)
 	}
@@ -514,9 +540,16 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	}
 	t.taus = make([]float64, len(t.params))
 	for i := range t.params {
-		t.taus[i] = pipeline.FwdDelay(t.stage1[i], p, n)
+		if cfg.Method == Hogwild {
+			t.taus[i] = pipeline.MeanDelay(t.stage1[i], p, hogwildTauMax, hogwildMeanScale)
+		} else {
+			t.taus[i] = pipeline.FwdDelay(t.stage1[i], p, n)
+		}
 	}
 	keep := (2*p+n)/n + 3
+	if cfg.Method == Hogwild {
+		keep = max(keep, hogwildTauMax+2)
+	}
 	t.store = pipeline.NewVersionStore(part.Stages, keep)
 	t.masters = make([]*tensor.Tensor, len(t.params))
 	for i, pm := range t.params {
@@ -915,7 +948,8 @@ func segmentEnds(p, segments int) []int {
 	return ends
 }
 
-// Taus returns the per-parameter forward delays in minibatch units.
+// Taus returns the per-parameter forward delays in minibatch units (the
+// mean delays under Hogwild).
 func (t *Trainer) Taus() []float64 { return t.taus }
 
 // Stages returns the number of pipeline stages.
@@ -1025,24 +1059,13 @@ func (t *Trainer) synchronous() bool {
 // concurrently (the stage-sharded StepStage commit).
 func (t *Trainer) ratesInto(out []float64, step, lo, hi int) {
 	base := t.sched.LR(step)
-	if t.synchronous() || t.cfg.T1K <= 0 {
-		for i := range out {
-			out[i] = base
-		}
-		return
-	}
-	async := step - t.warmupSteps()
-	if async < 0 {
-		async = 0
-	}
 	// T1 uses the base schedule at the true step but anneals on async time.
-	p := 1 - math.Min(float64(async)/float64(t.cfg.T1K), 1)
+	async, k := max(step-t.warmupSteps(), 0), t.cfg.T1K
+	if t.synchronous() {
+		k = 0
+	}
 	for i := lo; i < hi; i++ {
-		tau := t.taus[i]
-		if tau < 1 {
-			tau = 1
-		}
-		out[i-lo] = base / math.Pow(tau, p)
+		out[i-lo] = optim.T1Rate(base, t.taus[i], async, k)
 	}
 }
 
@@ -1086,10 +1109,16 @@ func (h host) Recompute() bool { return h.t.segEnd1 != nil }
 func (h host) MicroBase() int { return h.t.micro }
 
 // InstallForward points the stage's parameters at the delayed snapshot
-// visible at global microbatch s.
+// visible at global microbatch s: the Table 1 version, or under Hogwild
+// the latest version m = ⌊s/N⌋ less the delay drawn for (m, stage).
 func (h host) InstallForward(s, stage int) {
 	t := h.t
 	v := t.clock.FwdVersion(s, stage+1)
+	if t.cfg.Method == Hogwild {
+		m := t.clock.Minibatch(s)
+		mean := pipeline.MeanDelay(stage+1, t.clock.P, hogwildTauMax, hogwildMeanScale)
+		v = max(0, m-pipeline.DrawDelay(t.cfg.Seed, m, stage, mean, hogwildTauMax))
+	}
 	snap := t.store.Get(stage, v)
 	for j, pm := range t.part.Stages[stage] {
 		pm.Data = snap[j]
@@ -1100,7 +1129,7 @@ func (h host) InstallForward(s, stage int) {
 func (h host) InstallBackward(s, stage int) {
 	t := h.t
 	switch t.cfg.Method {
-	case PipeDream:
+	case PipeDream, Hogwild:
 		// Backward uses the stashed forward weights: Bwd stays nil so
 		// BwdData falls back to the installed snapshot.
 	case PipeMare:
@@ -1607,15 +1636,4 @@ func (t *Trainer) run(ctx context.Context, epochs int, run *metrics.Run) (*metri
 		}
 	}
 	return run, nil
-}
-
-// TrainEpochs trains for the given number of epochs, recording one entry
-// per epoch in run. Training stops early on divergence. It returns run for
-// chaining.
-//
-// Deprecated: use Run (or RunInto), which is context-aware and reports
-// engine errors.
-func (t *Trainer) TrainEpochs(epochs int, run *metrics.Run) *metrics.Run {
-	run, _ = t.run(context.Background(), epochs, run)
-	return run
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -54,6 +55,6 @@ func FuzzRestoreFrom(f *testing.F) {
 		}
 		tr := fuzzTrainer(t)
 		tr.RestoreFrom(p)
-		tr.TrainEpochs(1, nil)
+		tr.Run(context.Background(), 1)
 	})
 }

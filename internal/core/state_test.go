@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,7 +80,7 @@ func TestBeginMicroOverlapsStageZeroInstalls(t *testing.T) {
 // checkpointOf trains tr for one epoch and returns its checkpoint bytes.
 func checkpointOf(tb testing.TB, tr *Trainer) []byte {
 	tb.Helper()
-	tr.TrainEpochs(1, nil)
+	tr.Run(context.Background(), 1)
 	path, err := tr.WriteCheckpoint(tb.TempDir())
 	if err != nil {
 		tb.Fatal(err)
@@ -156,7 +157,7 @@ func TestRestoreRejectsUntrainableRings(t *testing.T) {
 			if tr.masters[0].Data[0] != before || tr.step != 0 {
 				t.Fatal("a rejected restore changed the live trainer")
 			}
-			tr.TrainEpochs(1, nil)
+			tr.Run(context.Background(), 1)
 		})
 	}
 }
@@ -225,7 +226,7 @@ func TestCheckpointRoundTripsWideClocks(t *testing.T) {
 		return tr
 	}
 	src := build()
-	src.TrainEpochs(1, nil)
+	src.Run(context.Background(), 1)
 	const epoch = 1<<32 + 5
 	perEpoch := src.task.NumTrain() / src.cfg.BatchSize
 	step := epoch*perEpoch + 2
@@ -243,7 +244,7 @@ func TestCheckpointRoundTripsWideClocks(t *testing.T) {
 		t.Fatalf("restored step/epoch/micro/opt clock/skip %d/%d/%d/%d/%d, want %d/%d/%d/%d/2",
 			dst.step, dst.epoch, dst.micro, dst.stateful.Clock(), dst.resumeSkip, step, epoch, src.micro, step)
 	}
-	dst.TrainEpochs(1, nil)
+	dst.Run(context.Background(), 1)
 	if dst.step != step+perEpoch-2 {
 		t.Fatalf("step after the resumed epoch %d, want %d", dst.step, step+perEpoch-2)
 	}

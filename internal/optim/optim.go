@@ -374,33 +374,22 @@ func (w WarmupInvSqrt) LR(step int) float64 {
 	return w.Peak * math.Sqrt(float64(w.Warmup)/float64(step))
 }
 
-// T1 is the paper's Technique 1 learning-rate rescheduler: during the first
-// K steps, divide the base rate for parameter i by its delay raised to the
-// annealing power p_k = 1 − min(k/K, 1), so early steps see α/τ and the
-// schedule relaxes back to the baseline by step K.
-type T1 struct {
-	Base Schedule
-	Taus []float64 // per-parameter forward delay in minibatch units
-	K    int       // annealing steps; ≤ 0 disables the rescheduling
-}
-
-// LRs returns the per-parameter learning rates at the given step.
-func (t *T1) LRs(step int) []float64 {
-	base := t.Base.LR(step)
-	out := make([]float64, len(t.Taus))
-	p := 0.0
-	if t.K > 0 {
-		p = 1 - math.Min(float64(step)/float64(t.K), 1)
+// T1Rate is the paper's Technique 1 learning-rate rescheduling for one
+// parameter: at annealing step k of K it divides the base rate by the
+// parameter's delay τ raised to p_k = 1 − min(k/K, 1), so early steps see
+// α/τ and the rate relaxes back to α by step K. K ≤ 0 disables the
+// rescheduling.
+func T1Rate(base, tau float64, k, K int) float64 {
+	if K <= 0 {
+		return base
 	}
-	for i, tau := range t.Taus {
-		if tau < 1 {
-			// τ < 1 means the delay is under one optimizer step; dividing
-			// by τ^p would *increase* the rate, so clamp at the baseline.
-			tau = 1
-		}
-		out[i] = base / math.Pow(tau, p)
+	if tau < 1 {
+		// τ < 1 means the delay is under one optimizer step; dividing
+		// by τ^p would *increase* the rate, so clamp at the baseline.
+		tau = 1
 	}
-	return out
+	p := 1 - math.Min(float64(k)/float64(K), 1)
+	return base / math.Pow(tau, p)
 }
 
 var (

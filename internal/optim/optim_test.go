@@ -139,10 +139,16 @@ func TestWarmupInvSqrtSchedule(t *testing.T) {
 
 func TestT1Rescheduler(t *testing.T) {
 	taus := []float64{16, 4, 1, 0.25}
-	t1 := &T1{Base: Constant(0.1), Taus: taus, K: 100}
+	lrsAt := func(k int) []float64 {
+		out := make([]float64, len(taus))
+		for i, tau := range taus {
+			out[i] = T1Rate(0.1, tau, k, 100)
+		}
+		return out
+	}
 
 	// At k=0 the rate is base/τ exactly (with τ clamped at 1).
-	lrs := t1.LRs(0)
+	lrs := lrsAt(0)
 	want0 := []float64{0.1 / 16, 0.1 / 4, 0.1, 0.1}
 	for i := range want0 {
 		if math.Abs(lrs[i]-want0[i]) > 1e-12 {
@@ -151,21 +157,21 @@ func TestT1Rescheduler(t *testing.T) {
 	}
 	// At k=K and beyond the base rate is restored.
 	for _, k := range []int{100, 500} {
-		for i, lr := range t1.LRs(k) {
+		for i, lr := range lrsAt(k) {
 			if math.Abs(lr-0.1) > 1e-12 {
 				t.Errorf("LRs(%d)[%d] = %g, want 0.1", k, i, lr)
 			}
 		}
 	}
 	// Halfway: exponent p = 0.5 → rate = base/√τ.
-	lrs = t1.LRs(50)
+	lrs = lrsAt(50)
 	if math.Abs(lrs[0]-0.1/4) > 1e-12 {
 		t.Errorf("LRs(50)[0] = %g, want %g", lrs[0], 0.1/4)
 	}
 	// Monotone non-decreasing in k for τ > 1.
-	prev := t1.LRs(0)[0]
+	prev := lrsAt(0)[0]
 	for k := 1; k <= 120; k++ {
-		cur := t1.LRs(k)[0]
+		cur := lrsAt(k)[0]
 		if cur < prev-1e-15 {
 			t.Fatalf("T1 rate decreased at step %d", k)
 		}
@@ -174,9 +180,8 @@ func TestT1Rescheduler(t *testing.T) {
 }
 
 func TestT1DisabledKeepsBase(t *testing.T) {
-	t1 := &T1{Base: Constant(0.2), Taus: []float64{8, 2}, K: 0}
-	for _, lr := range t1.LRs(0) {
-		if lr != 0.2 {
+	for _, tau := range []float64{8, 2} {
+		if lr := T1Rate(0.2, tau, 0, 0); lr != 0.2 {
 			t.Fatalf("K=0 must disable rescheduling, got %g", lr)
 		}
 	}

@@ -250,6 +250,34 @@ func FwdDelay(stage1, p, n int) float64 {
 	return float64(FwdDelaySlots(stage1, p)) / float64(n)
 }
 
+// MeanDelay returns the mean of 1-indexed stage i's Appendix E
+// (Hogwild!) delay in optimizer updates: meanScale·τmax·(P−i+1)/P, so
+// the first stage's mean is meanScale·τmax and the last stage's
+// meanScale·τmax/P.
+func MeanDelay(stage1, p, tauMax int, meanScale float64) float64 {
+	return meanScale * float64(tauMax) * float64(p-stage1+1) / float64(p)
+}
+
+// DrawDelay draws a stage's Appendix E delay for minibatch m: an
+// exponential with the given mean, truncated at tauMax. The draw is a
+// pure function of (seed, m, stage) — a splitmix64 hash, not a
+// sequential RNG — so every engine, every replica and a restored run draw
+// the same delays with no generator state to carry.
+func DrawDelay(seed int64, m, stage int, mean float64, tauMax int) int {
+	h := splitmix64(splitmix64(splitmix64(uint64(seed))+uint64(m)) + uint64(stage))
+	u := (float64(h>>11) + 0.5) / (1 << 53) // uniform on (0, 1)
+	return min(int(-math.Log(u)*mean), tauMax)
+}
+
+// splitmix64 is the finalizer of Steele et al.'s SplitMix64 generator: a
+// bijective 64-bit mix whose outputs pass as independent uniform draws.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Clock converts global microbatch indices into the weight versions
 // visible at each pipeline slot.
 type Clock struct {

@@ -413,3 +413,61 @@ func TestImbalance(t *testing.T) {
 		t.Fatalf("zero-cost imbalance = %g, want 1", got)
 	}
 }
+
+func TestMeanDelayMonotone(t *testing.T) {
+	// Earlier stages must have larger expected delays.
+	p := 10
+	prev := math.Inf(1)
+	for i1 := 1; i1 <= p; i1++ {
+		m := MeanDelay(i1, p, 20, 0.5)
+		if m >= prev {
+			t.Fatalf("mean delay must decrease with stage: stage %d has %g ≥ %g", i1, m, prev)
+		}
+		prev = m
+	}
+	if got := MeanDelay(1, 10, 20, 0.5); math.Abs(got-10) > 1e-12 {
+		t.Fatalf("first-stage mean = %g, want 10", got)
+	}
+}
+
+func TestDrawDelayTruncated(t *testing.T) {
+	for m := 0; m < 2000; m++ {
+		if d := DrawDelay(1, m, m%3, 5, 7); d < 0 || d > 7 {
+			t.Fatalf("delay %d out of [0, 7]", d)
+		}
+	}
+}
+
+// TestDrawDelayIsPure pins what engines, replicas and restores rely on:
+// the same (seed, minibatch, stage) always draws the same delay, while
+// different inputs draw an exponential spread, not a constant.
+func TestDrawDelayIsPure(t *testing.T) {
+	const n = 20000
+	sum := 0
+	seen := map[int]bool{}
+	for m := 0; m < n; m++ {
+		d := DrawDelay(3, m, 2, 5, 1000)
+		if again := DrawDelay(3, m, 2, 5, 1000); again != d {
+			t.Fatalf("minibatch %d drew %d then %d", m, d, again)
+		}
+		sum += d
+		seen[d] = true
+	}
+	// E⌊Exp(5)⌋ = 1/(e^{1/5}−1) ≈ 4.52.
+	if mean := float64(sum) / n; math.Abs(mean-4.52) > 0.2 {
+		t.Fatalf("mean draw %.3f, want ≈ 4.52", mean)
+	}
+	if len(seen) < 10 {
+		t.Fatalf("only %d distinct delays in %d draws", len(seen), n)
+	}
+	diff := 0
+	for m := 0; m < 100; m++ {
+		if DrawDelay(3, m, 0, 5, 1000) != DrawDelay(3, m, 1, 5, 1000) ||
+			DrawDelay(3, m, 0, 5, 1000) != DrawDelay(4, m, 0, 5, 1000) {
+			diff++
+		}
+	}
+	if diff < 50 {
+		t.Fatalf("stage and seed change only %d of 100 draws", diff)
+	}
+}

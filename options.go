@@ -44,12 +44,14 @@ type settings struct {
 // option aborts New with its error.
 type Option func(*settings) error
 
-// WithMethod selects GPipe, PipeDream or PipeMare execution
-// (default GPipe).
+// WithMethod selects GPipe, PipeDream, PipeMare or Hogwild execution
+// (default GPipe). Hogwild is Appendix E's random-delay variant of
+// PipeDream's weight stashing; it cannot be combined with WithRecompute,
+// WithTransport or WithElastic.
 func WithMethod(m Method) Option {
 	return func(s *settings) error {
 		switch m {
-		case GPipe, PipeDream, PipeMare:
+		case GPipe, PipeDream, PipeMare, Hogwild:
 			s.cfg.Method = m
 			return nil
 		}

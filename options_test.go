@@ -51,6 +51,36 @@ func TestOptionValidationErrors(t *testing.T) {
 	}
 }
 
+// TestHogwildRejectsUnsupportedCombinations pins the combinations the
+// Hogwild method cannot honour: recompute reads versions off the Table 1
+// clock, and remote members (WithTransport followers, WithElastic
+// joiners) never see the seed the delay draw depends on.
+func TestHogwildRejectsUnsupportedCombinations(t *testing.T) {
+	_, dial := pipemare.Loopback()
+	cases := []struct {
+		name string
+		opts []pipemare.Option
+		frag string // expected error fragment
+	}{
+		{"recompute", []pipemare.Option{pipemare.WithRecompute(2)}, "recompute"},
+		{"transport", []pipemare.Option{pipemare.WithTransport(dial)}, "in-process replicas"},
+		{"elastic", []pipemare.Option{pipemare.WithReplicas(2), pipemare.WithElastic()}, "in-process replicas"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opts := append([]pipemare.Option{pipemare.WithMethod(pipemare.Hogwild)}, c.opts...)
+			_, err := pipemare.New(newOptionProbeTask(), opts...)
+			if err == nil || !strings.Contains(err.Error(), c.frag) {
+				t.Fatalf("Hogwild with %s: err = %v, want one mentioning %q", c.name, err, c.frag)
+			}
+		})
+	}
+	if _, err := pipemare.New(newOptionProbeTask(),
+		pipemare.WithMethod(pipemare.Hogwild), pipemare.WithReplicas(2)); err != nil {
+		t.Fatalf("Hogwild with in-process replicas: %v", err)
+	}
+}
+
 func TestOptionCrossValidation(t *testing.T) {
 	if _, err := pipemare.New(newOptionProbeTask(),
 		pipemare.WithBatchSize(10), pipemare.WithMicrobatches(4)); err == nil {

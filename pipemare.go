@@ -14,7 +14,8 @@
 //     partitions (WithPartition);
 //   - the three PipeMare techniques — T1 learning-rate rescheduling,
 //     T2 discrepancy correction, T3 synchronous warmup — plus the
-//     Appendix D recompute delay path and the Appendix E Hogwild! variant;
+//     Appendix D recompute delay path and the Appendix E Hogwild! delays
+//     (WithMethod(Hogwild));
 //   - the quadratic-model stability theory: companion-matrix
 //     characteristic polynomials, Lemma 1–3 bounds, and trajectory
 //     simulators (internal/quad, internal/poly);
@@ -57,7 +58,7 @@ import (
 // Re-exported core types: see the internal packages for full
 // documentation.
 type (
-	// Method selects GPipe, PipeDream or PipeMare execution.
+	// Method selects GPipe, PipeDream, PipeMare or Hogwild execution.
 	Method = core.Method
 	// Task is a model+loss bound to an indexed dataset.
 	Task = core.Task
@@ -84,11 +85,12 @@ type (
 	DType = tensor.DType
 )
 
-// Training methods (Table 1).
+// Training methods (Table 1, and Appendix E's Hogwild! delays).
 const (
 	GPipe     = core.GPipe
 	PipeDream = core.PipeDream
 	PipeMare  = core.PipeMare
+	Hogwild   = core.Hogwild
 )
 
 // Partition modes (WithPartition).
