@@ -29,6 +29,21 @@ func startJoiner(t *testing.T, build func() pipemare.Task, opts []pipemare.Optio
 	return lis, func() error { return <-done }
 }
 
+// awaitParked blocks until tr has parked n joiners. AcceptJoins parks
+// joiners asynchronously, and one that parks after a run's last
+// admission boundary is never admitted in that run, so a test that
+// expects admissions (or rejections) during Run waits here first.
+func awaitParked(t *testing.T, tr *pipemare.Trainer, n int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for pipemare.PendingJoins(tr) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d joiners parked after 30s, want %d", pipemare.PendingJoins(tr), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestJoinMatchesFreshLargerRun is the headline elastic-membership pin,
 // in both commit modes: a third replica joining an R=2 loopback run at
 // step 2 — weights, T2 state, optimizer moments, version rings and
@@ -56,6 +71,7 @@ func TestJoinMatchesFreshLargerRun(t *testing.T) {
 		if err := tr.AcceptJoins(jlis); err != nil {
 			t.Fatalf("%s: accept joins: %v", name, err)
 		}
+		awaitParked(t, tr, 1)
 		got, err := tr.Run(context.Background(), 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -170,6 +186,7 @@ func TestChurnCompositions(t *testing.T) {
 		if err := tr.AcceptJoins(jlis); err != nil {
 			t.Fatal(err)
 		}
+		awaitParked(t, tr, 1)
 		var got *pipemare.Run
 		err = runWithin(t, 60*time.Second, "evict+join", func() error {
 			r, err := tr.Run(context.Background(), 4)
@@ -219,6 +236,7 @@ func TestChurnCompositions(t *testing.T) {
 		if err := tr.AcceptJoins(jlis); err != nil {
 			t.Fatal(err)
 		}
+		awaitParked(t, tr, 1)
 		got, err := tr.Run(context.Background(), 4)
 		if err != nil {
 			t.Fatal(err)
@@ -334,6 +352,7 @@ func TestJoinRejectsMismatchedShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	awaitParked(t, tr, 2)
 	got, err := tr.Run(context.Background(), 2)
 	if err != nil {
 		t.Fatal(err)

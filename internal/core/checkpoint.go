@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -83,35 +85,12 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	momentCount, optClock := 0, 0
-	if t.stateful != nil {
-		momentCount, optClock = t.stateful.MomentCount(), t.stateful.Clock()
-	}
-	meta := transport.AppendU32(nil, ckptFormat)
-	for _, clk := range []int{t.step, t.epoch, t.micro, optClock} {
-		meta = transport.AppendU64(meta, uint64(clk))
-	}
-	meta = transport.AppendU32(meta, uint32(t.clock.P))
-	meta = transport.AppendU32(meta, uint32(len(t.params)))
-	meta = transport.AppendBool(meta, t.delta != nil)
-	meta = transport.AppendU32(meta, uint32(momentCount))
-	buf := transport.AppendMessage(nil, transport.Header{Type: ckptMeta, Stage: -1}, meta)
-	for s := 0; s < t.clock.P; s++ {
-		p := transport.AppendTensors(nil, t.ckptLayout(s))
-		buf = transport.AppendMessage(buf, transport.Header{Type: ckptStage, Stage: int32(s)}, p)
-	}
-	for s := 0; s < t.clock.P; s++ {
-		base, snaps := t.store.History(s)
-		buf = transport.AppendMessage(buf, transport.Header{Type: ckptRing, Stage: int32(s)}, transport.AppendRing(nil, base, snaps))
-	}
-	buf = transport.AppendMessage(buf, transport.Header{Type: ckptEnd, Stage: -1}, nil)
-
 	f, err := os.CreateTemp(dir, ".ckpt-*.tmp")
 	if err != nil {
 		return "", err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(buf); err != nil {
+	if err := t.writeCheckpoint(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return "", err
@@ -126,6 +105,51 @@ func (t *Trainer) WriteCheckpoint(dir string) (string, error) {
 		return "", err
 	}
 	return path, nil
+}
+
+// writeCheckpoint streams the checkpoint's sections to w as wire frames:
+// meta, each stage's state, each stage's ring, the end marker. Every
+// section is encoded into one reused scratch buffer, which the encoders
+// regrow to exactly the section's size when it is short, so the file is
+// never assembled in memory.
+func (t *Trainer) writeCheckpoint(w io.Writer) error {
+	momentCount, optClock := 0, 0
+	if t.stateful != nil {
+		momentCount, optClock = t.stateful.MomentCount(), t.stateful.Clock()
+	}
+	bw := bufio.NewWriterSize(w, 64<<10)
+	section := func(typ byte, stage int, payload []byte) error {
+		return transport.WriteMessage(bw, transport.Header{Type: typ, Stage: int32(stage)}, payload)
+	}
+
+	b := transport.AppendU32(nil, ckptFormat)
+	for _, clk := range []int{t.step, t.epoch, t.micro, optClock} {
+		b = transport.AppendU64(b, uint64(clk))
+	}
+	b = transport.AppendU32(b, uint32(t.clock.P))
+	b = transport.AppendU32(b, uint32(len(t.params)))
+	b = transport.AppendBool(b, t.delta != nil)
+	b = transport.AppendU32(b, uint32(momentCount))
+	if err := section(ckptMeta, -1, b); err != nil {
+		return err
+	}
+	for s := 0; s < t.clock.P; s++ {
+		b = transport.AppendTensors(b[:0], t.ckptLayout(s))
+		if err := section(ckptStage, s, b); err != nil {
+			return err
+		}
+	}
+	for s := 0; s < t.clock.P; s++ {
+		base, snaps := t.store.History(s)
+		b = transport.AppendRing(b[:0], base, snaps)
+		if err := section(ckptRing, s, b); err != nil {
+			return err
+		}
+	}
+	if err := section(ckptEnd, -1, nil); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // ckptState is a fully parsed and validated checkpoint, staged off to the

@@ -101,6 +101,14 @@ func (t *Trainer) acceptJoins(ctx context.Context, lis transport.Listener) {
 	}
 }
 
+// PendingJoins reports how many accepted joiners t has parked, waiting
+// for a minibatch boundary to admit (or reject) them.
+func PendingJoins(t *Trainer) int {
+	t.joinMu.Lock()
+	defer t.joinMu.Unlock()
+	return len(t.pending)
+}
+
 // admitBoundary is run()'s per-minibatch membership hook: readmit
 // drained standbys first (they already hold a connection and a built
 // follower), then admit parked joiners. Both run on the run goroutine,

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 
 	"pipemare/internal/tensor"
@@ -29,12 +30,22 @@ func AppendTensors(dst []byte, ts []*tensor.Tensor) []byte { return appendTensor
 // as a counted tensor list. MsgSetRing and the checkpoint's ring section
 // both carry exactly this payload.
 func AppendRing(dst []byte, base int, snaps [][]*tensor.Tensor) []byte {
+	dst = grow(dst, ringSize(snaps))
 	dst = appendU32(dst, uint32(base))
 	dst = appendU32(dst, uint32(len(snaps)))
 	for _, snap := range snaps {
 		dst = appendTensors(dst, snap)
 	}
 	return dst
+}
+
+// ringSize is the encoded size of a weight-version ring (AppendRing).
+func ringSize(snaps [][]*tensor.Tensor) int {
+	n := 8
+	for _, snap := range snaps {
+		n += tensorsSize(snap)
+	}
+	return n
 }
 
 // ring decodes an AppendRing payload.
@@ -75,57 +86,44 @@ func (r *Cursor) Err() error { return r.c.err }
 // Done errors unless the payload decoded exactly.
 func (r *Cursor) Done() error { return r.c.done() }
 
-// AppendMessage appends one message to dst as wire frames: payloads
-// larger than the chunk size split with the more-flag, mirroring
-// Conn.Send, so a checkpoint file is byte-for-byte a valid frame stream
-// (magic, version, CRC per frame).
+// AppendMessage appends one message to dst as wire frames, exactly as
+// WriteMessage streams them.
 func AppendMessage(dst []byte, h Header, payload []byte) []byte {
-	for {
-		chunk := payload
-		if len(chunk) > maxChunk {
-			chunk = chunk[:maxChunk]
-		}
-		payload = payload[len(chunk):]
-		h.Flags = 0
-		if len(payload) > 0 {
-			h.Flags = flagMore
-		}
-		dst = AppendFrame(dst, h, chunk)
-		if len(payload) == 0 {
-			return dst
-		}
-	}
+	b := bytes.NewBuffer(dst)
+	_ = WriteMessage(b, h, payload) // a bytes.Buffer write cannot fail
+	return b.Bytes()
 }
 
 // NextMessage decodes the next message from a frame stream produced by
-// AppendMessage, reassembling chunked frames and verifying each frame's
+// WriteMessage, reassembling chunked frames and verifying each frame's
 // magic, version, bounds and CRC. It returns the header, the payload
-// (copied out when chunked, a sub-slice of b otherwise), and the
-// remainder of b after the message.
+// (copied out into an exactly sized buffer when chunked, a sub-slice of
+// b otherwise), and the remainder of b after the message.
 func NextMessage(b []byte) (Header, []byte, []byte, error) {
-	var m Msg
-	first := true
-	for {
-		h, payload, rest, err := DecodeFrame(b)
+	h, payload, rest, err := DecodeFrame(b)
+	if err != nil {
+		return Header{}, nil, nil, err
+	}
+	if !h.More() {
+		return h, payload, rest, nil
+	}
+	chunks, total := [][]byte{payload}, len(payload)
+	for more := true; more; {
+		c, p, r, err := DecodeFrame(rest)
 		if err != nil {
 			return Header{}, nil, nil, err
 		}
-		b = rest
-		if first {
-			if !h.More() {
-				return h, payload, b, nil
-			}
-			m = Msg{Type: h.Type, Replica: h.Replica, Stage: h.Stage}
-			first = false
-		} else if h.Type != m.Type || h.Replica != m.Replica || h.Stage != m.Stage {
-			return Header{}, nil, nil, fmt.Errorf("transport: chunk header mismatch: type %d/%d", h.Type, m.Type)
+		if c.Type != h.Type || c.Replica != h.Replica || c.Stage != h.Stage {
+			return Header{}, nil, nil, fmt.Errorf("transport: chunk header mismatch: type %d/%d", c.Type, h.Type)
 		}
-		if len(m.Data)+len(payload) > maxMsg {
+		if total+len(p) > maxMsg {
 			return Header{}, nil, nil, fmt.Errorf("transport: message exceeds %d bytes", maxMsg)
 		}
-		m.Data = append(m.Data, payload...)
-		if !h.More() {
-			return Header{Type: m.Type, Replica: m.Replica, Stage: m.Stage}, m.Data, b, nil
-		}
+		chunks, total, rest, more = append(chunks, p), total+len(p), r, c.More()
 	}
+	data := make([]byte, 0, total)
+	for _, p := range chunks {
+		data = append(data, p...)
+	}
+	return Header{Type: h.Type, Replica: h.Replica, Stage: h.Stage}, data, rest, nil
 }

@@ -45,7 +45,7 @@ type Conn struct {
 	nc  net.Conn
 	r   *bufio.Reader
 	w   *bufio.Writer
-	buf []byte // frame scratch
+	hdr [headerLen + trailerLen]byte // Recv's header and trailer scratch
 }
 
 // NewConn frames messages over nc. nc must honor SetDeadline (net.Pipe
@@ -138,24 +138,8 @@ func (c *Conn) Send(ctx context.Context, m Msg) error {
 	}
 	defer stop()
 	h := Header{Type: m.Type, Replica: m.Replica, Stage: m.Stage}
-	data := m.Data
-	for {
-		chunk := data
-		if len(chunk) > maxChunk {
-			chunk = chunk[:maxChunk]
-		}
-		data = data[len(chunk):]
-		h.Flags = 0
-		if len(data) > 0 {
-			h.Flags = flagMore
-		}
-		c.buf = AppendFrame(c.buf[:0], h, chunk)
-		if _, err := c.w.Write(c.buf); err != nil {
-			return mapErr(ctx, fmt.Errorf("transport: write frame: %w", err))
-		}
-		if len(data) == 0 {
-			break
-		}
+	if err := WriteMessage(c.w, h, m.Data); err != nil {
+		return mapErr(ctx, fmt.Errorf("transport: write frame: %w", err))
 	}
 	if err := c.w.Flush(); err != nil {
 		return mapErr(ctx, fmt.Errorf("transport: flush: %w", err))
@@ -164,9 +148,12 @@ func (c *Conn) Send(ctx context.Context, m Msg) error {
 }
 
 // Recv reads one message, reassembling chunked frames and verifying each
-// frame's magic, version, bounds and CRC. The read is context-aware:
-// cancellation or a context deadline unwinds a blocked read. Malformed
-// input returns an error, never a panic.
+// frame's magic, version, bounds and CRC. Each frame's payload is read
+// straight into the message buffer, which grows geometrically across a
+// chunked message's frames. The returned Msg.Data is freshly allocated
+// and owned by the caller. The read is context-aware: cancellation or a
+// context deadline unwinds a blocked read. Malformed input returns an
+// error, never a panic.
 func (c *Conn) Recv(ctx context.Context) (Msg, error) {
 	stop, err := c.arm(ctx)
 	if err != nil {
@@ -174,52 +161,49 @@ func (c *Conn) Recv(ctx context.Context) (Msg, error) {
 	}
 	defer stop()
 	var m Msg
-	first := true
-	for {
-		h, payload, err := c.readFrame()
+	for first := true; ; first = false {
+		hdr, trailer := c.hdr[:headerLen], c.hdr[headerLen:]
+		if _, err := io.ReadFull(c.r, hdr); err != nil {
+			return Msg{}, mapErr(ctx, fmt.Errorf("transport: read frame header: %w", err))
+		}
+		h, n, err := parseHeader(hdr)
 		if err != nil {
 			return Msg{}, mapErr(ctx, err)
 		}
+		if len(m.Data)+n > maxMsg {
+			return Msg{}, fmt.Errorf("transport: message exceeds %d bytes", maxMsg)
+		}
+		m.Data = growMsg(m.Data, n)
+		payload := m.Data[len(m.Data) : len(m.Data)+n]
+		if _, err := io.ReadFull(c.r, payload); err != nil {
+			return Msg{}, mapErr(ctx, fmt.Errorf("transport: read frame payload: %w", err))
+		}
+		if _, err := io.ReadFull(c.r, trailer); err != nil {
+			return Msg{}, mapErr(ctx, fmt.Errorf("transport: read frame payload: %w", err))
+		}
+		if err := checkCRC(hdr, payload, trailer); err != nil {
+			return Msg{}, mapErr(ctx, err)
+		}
 		if first {
-			m = Msg{Type: h.Type, Replica: h.Replica, Stage: h.Stage}
-			first = false
+			m.Type, m.Replica, m.Stage = h.Type, h.Replica, h.Stage
 		} else if h.Type != m.Type || h.Replica != m.Replica || h.Stage != m.Stage {
 			return Msg{}, fmt.Errorf("transport: chunk header mismatch: type %d/%d", h.Type, m.Type)
 		}
-		if len(m.Data)+len(payload) > maxMsg {
-			return Msg{}, fmt.Errorf("transport: message exceeds %d bytes", maxMsg)
-		}
-		m.Data = append(m.Data, payload...)
+		m.Data = m.Data[:len(m.Data)+n]
 		if !h.More() {
 			return m, nil
 		}
 	}
 }
 
-var _ MsgConn = (*Conn)(nil)
-
-// readFrame reads and validates one frame from the stream.
-func (c *Conn) readFrame() (Header, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return Header{}, nil, fmt.Errorf("transport: read frame header: %w", err)
+// growMsg returns b with room for n more bytes: a single-frame message
+// gets exactly its payload, and a chunked one at least doubles per
+// reallocation, so reassembly copies each byte O(1) times.
+func growMsg(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
 	}
-	_, n, err := parseHeader(hdr[:])
-	if err != nil {
-		return Header{}, nil, err
-	}
-	need := n + trailerLen
-	if cap(c.buf) < headerLen+need {
-		c.buf = make([]byte, headerLen+need)
-	}
-	c.buf = c.buf[:headerLen+need]
-	copy(c.buf, hdr[:])
-	if _, err := io.ReadFull(c.r, c.buf[headerLen:]); err != nil {
-		return Header{}, nil, fmt.Errorf("transport: read frame payload: %w", err)
-	}
-	hh, payload, _, err := DecodeFrame(c.buf)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return hh, payload, nil
+	return grow(b, max(n, cap(b)))
 }
+
+var _ MsgConn = (*Conn)(nil)

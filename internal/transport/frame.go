@@ -44,8 +44,10 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 )
 
 const (
@@ -125,23 +127,49 @@ func (h Header) More() bool { return h.Flags&flagMore != 0 }
 
 var crcTable = crc32.IEEETable
 
-// AppendFrame appends one encoded frame (header, payload, CRC trailer)
-// to dst and returns the extended slice. The payload must not exceed
-// maxChunk; message chunking is the caller's job (Conn.Send).
-func AppendFrame(dst []byte, h Header, payload []byte) []byte {
-	if len(payload) > maxChunk {
-		panic(fmt.Sprintf("transport: frame payload %d exceeds max chunk %d", len(payload), maxChunk))
+// writeFrame writes one frame to w: the header, the payload itself (no
+// copy into a frame buffer), then the CRC over both.
+func writeFrame(w io.Writer, h Header, payload []byte) error {
+	var hdr [headerLen]byte
+	hdr[0], hdr[1], hdr[2], hdr[3], hdr[4] = frameMagic0, frameMagic1, Version, h.Type, h.Flags
+	binary.BigEndian.PutUint16(hdr[6:], h.Replica)
+	binary.BigEndian.PutUint32(hdr[8:], uint32(h.Stage))
+	binary.BigEndian.PutUint32(hdr[12:], uint32(len(payload)))
+	var crc [trailerLen]byte
+	binary.BigEndian.PutUint32(crc[:], crc32.Update(crc32.Checksum(hdr[:], crcTable), crcTable, payload))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
 	}
-	start := len(dst)
-	dst = append(dst,
-		frameMagic0, frameMagic1, Version, h.Type, h.Flags, 0,
-		byte(h.Replica>>8), byte(h.Replica),
-		byte(uint32(h.Stage)>>24), byte(uint32(h.Stage)>>16), byte(uint32(h.Stage)>>8), byte(uint32(h.Stage)),
-		byte(uint32(len(payload))>>24), byte(uint32(len(payload))>>16), byte(uint32(len(payload))>>8), byte(uint32(len(payload))),
-	)
-	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[start:], crcTable)
-	return append(dst, byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc))
+	if _, err := w.Write(payload); err != nil {
+		return err
+	}
+	_, err := w.Write(crc[:])
+	return err
+}
+
+// WriteMessage writes one message to w as wire frames: payloads larger
+// than the chunk size split into consecutive frames with the more-flag
+// set on all but the last. Conn.Send and the checkpoint writer both
+// stream through it, so a checkpoint file is byte-for-byte a valid frame
+// stream (magic, version, CRC per frame).
+func WriteMessage(w io.Writer, h Header, payload []byte) error {
+	for {
+		chunk := payload
+		if len(chunk) > maxChunk {
+			chunk = chunk[:maxChunk]
+		}
+		payload = payload[len(chunk):]
+		h.Flags = 0
+		if len(payload) > 0 {
+			h.Flags = flagMore
+		}
+		if err := writeFrame(w, h, chunk); err != nil {
+			return err
+		}
+		if len(payload) == 0 {
+			return nil
+		}
+	}
 }
 
 // parseHeader validates and decodes a 16-byte frame header, returning
@@ -156,17 +184,26 @@ func parseHeader(b []byte) (Header, int, error) {
 	if b[2] != Version {
 		return Header{}, 0, fmt.Errorf("transport: protocol version %d, want %d", b[2], Version)
 	}
-	n := int(uint32(b[12])<<24 | uint32(b[13])<<16 | uint32(b[14])<<8 | uint32(b[15]))
+	n := int(binary.BigEndian.Uint32(b[12:]))
 	if n > maxFramePayload {
 		return Header{}, 0, fmt.Errorf("transport: frame payload length %d exceeds limit %d", n, maxFramePayload)
 	}
 	h := Header{
 		Type:    b[3],
 		Flags:   b[4],
-		Replica: uint16(b[6])<<8 | uint16(b[7]),
-		Stage:   int32(uint32(b[8])<<24 | uint32(b[9])<<16 | uint32(b[10])<<8 | uint32(b[11])),
+		Replica: binary.BigEndian.Uint16(b[6:]),
+		Stage:   int32(binary.BigEndian.Uint32(b[8:])),
 	}
 	return h, n, nil
+}
+
+// checkCRC verifies a frame's CRC trailer against its header and payload.
+func checkCRC(hdr, payload, trailer []byte) error {
+	want := binary.BigEndian.Uint32(trailer)
+	if got := crc32.Update(crc32.Checksum(hdr, crcTable), crcTable, payload); got != want {
+		return fmt.Errorf("transport: frame CRC mismatch: got %#08x, want %#08x", got, want)
+	}
+	return nil
 }
 
 // DecodeFrame decodes the first frame in b, verifying magic, version,
@@ -182,10 +219,9 @@ func DecodeFrame(b []byte) (Header, []byte, []byte, error) {
 	if len(b) < total {
 		return Header{}, nil, nil, fmt.Errorf("transport: truncated frame: have %d bytes, frame needs %d", len(b), total)
 	}
-	body := b[:headerLen+n]
-	want := uint32(b[headerLen+n])<<24 | uint32(b[headerLen+n+1])<<16 | uint32(b[headerLen+n+2])<<8 | uint32(b[headerLen+n+3])
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return Header{}, nil, nil, fmt.Errorf("transport: frame CRC mismatch: got %#08x, want %#08x", got, want)
+	payload := b[headerLen : headerLen+n]
+	if err := checkCRC(b[:headerLen], payload, b[headerLen+n:total]); err != nil {
+		return Header{}, nil, nil, err
 	}
-	return h, b[headerLen : headerLen+n], b[total:], nil
+	return h, payload, b[total:], nil
 }

@@ -279,7 +279,13 @@ func (s *server) runChunk(ctx context.Context, c *cursor) (Msg, error) {
 	}
 	losses := s.comp.Losses()
 	grads := s.comp.Grads()
-	b := appendU32(s.scratch[:0], uint32(len(losses)))
+	size := 4 + 8*len(losses) + 4 + 4 // losses, then the micro and stage counts
+	for _, micro := range grads {
+		for _, stage := range micro {
+			size += tensorsSize(stage)
+		}
+	}
+	b := appendU32(grow(s.scratch[:0], size), uint32(len(losses)))
 	for _, l := range losses {
 		b = appendF64(b, l)
 	}

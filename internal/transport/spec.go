@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 	"hash/crc32"
-	"math"
 	"time"
 
 	"pipemare/internal/tensor"
@@ -95,42 +94,19 @@ type StateSource interface {
 }
 
 // StateChecksum hashes a member's per-stage state — dtype, shapes and
-// raw float bits, stage by stage — with CRC-32. Leader and worker compute
-// it over their respective initial states during the handshake; equality
-// means the two processes built bitwise-identical replicas. The dtype tag
-// is part of the hash, so a float32 leader paired with a float64 worker
-// (or vice versa) fails the handshake before any state flows.
+// raw float bits, stage by stage — with CRC-32 over exactly the bytes
+// the wire's tensor-list encoding (appendTensors) produces. Leader and
+// worker compute it over their respective initial states during the
+// handshake; equality means the two processes built bitwise-identical
+// replicas. The dtype tag is part of the hash, so a float32 leader
+// paired with a float64 worker (or vice versa) fails the handshake
+// before any state flows.
 func StateChecksum(m StateSource, stages int) uint32 {
 	crc := uint32(0)
-	var scratch [8]byte
-	u32 := func(v uint32) {
-		scratch[0], scratch[1], scratch[2], scratch[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-		crc = crc32.Update(crc, crcTable, scratch[:4])
-	}
+	var buf []byte
 	for st := 0; st < stages; st++ {
-		ts := m.StageState(st)
-		u32(uint32(len(ts)))
-		for _, t := range ts {
-			scratch[0] = byte(t.DType())
-			crc = crc32.Update(crc, crcTable, scratch[:1])
-			u32(uint32(len(t.Shape)))
-			for _, d := range t.Shape {
-				u32(uint32(d))
-			}
-			if t.DType() == tensor.Float32 {
-				for _, v := range t.Data32 {
-					u32(math.Float32bits(v))
-				}
-			} else {
-				for _, v := range t.Data {
-					bits := math.Float64bits(v)
-					for i := 0; i < 8; i++ {
-						scratch[i] = byte(bits >> (56 - 8*i))
-					}
-					crc = crc32.Update(crc, crcTable, scratch[:8])
-				}
-			}
-		}
+		buf = appendTensors(buf[:0], m.StageState(st))
+		crc = crc32.Update(crc, crcTable, buf)
 	}
 	return crc
 }

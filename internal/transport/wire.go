@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -9,17 +10,13 @@ import (
 
 // Payload encoding: big-endian fixed-width integers and raw IEEE-754
 // float bits, composed with a panic-free cursor so malformed payloads
-// surface as errors (FuzzDecodeFrame covers the frame layer; the message
+// surface as errors (FuzzDecodeFrame covers the frame layer and
+// FuzzTensorsInto the tensor-list and ring payloads; the message
 // decoders below never index past their input).
 
-func appendU32(dst []byte, v uint32) []byte {
-	return append(dst, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
+func appendU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }
 
-func appendU64(dst []byte, v uint64) []byte {
-	return append(dst, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
+func appendU64(dst []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(dst, v) }
 
 func appendF64(dst []byte, v float64) []byte {
 	return appendU64(dst, math.Float64bits(v))
@@ -72,7 +69,7 @@ func (c *cursor) u32() uint32 {
 	if b == nil {
 		return 0
 	}
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+	return binary.BigEndian.Uint32(b)
 }
 
 func (c *cursor) u64() uint64 {
@@ -80,8 +77,7 @@ func (c *cursor) u64() uint64 {
 	if b == nil {
 		return 0
 	}
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
+	return binary.BigEndian.Uint64(b)
 }
 
 func (c *cursor) f64() float64 { return math.Float64frombits(c.u64()) }
@@ -117,31 +113,62 @@ func (c *cursor) done() error {
 	return nil
 }
 
+// tensorSize is the encoded size of t: tag, rank, dims, then the data
+// at the dtype's width.
+func tensorSize(t *tensor.Tensor) int {
+	return 1 + 4 + 4*len(t.Shape) + 8*len(t.Data) + 4*len(t.Data32)
+}
+
+// tensorsSize is the encoded size of a counted tensor list.
+func tensorsSize(ts []*tensor.Tensor) int {
+	n := 4
+	for _, t := range ts {
+		n += tensorSize(t)
+	}
+	return n
+}
+
+// grow returns dst with room for n more bytes, reallocating to exactly
+// len(dst)+n when it has less — never a growth chain.
+func grow(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	out := make([]byte, len(dst), len(dst)+n)
+	copy(out, dst)
+	return out
+}
+
 // appendTensor encodes a tensor: a dtype tag byte, rank, dims, then the
 // raw IEEE-754 bits of the contiguous data at the dtype's width. The tag
 // is what lets a float32 run checkpoint and all-reduce without ever
-// widening to float64 on the wire.
+// widening to float64 on the wire. The tensor's bytes are reserved once
+// and filled in place.
 func appendTensor(dst []byte, t *tensor.Tensor) []byte {
-	dt := t.DType()
-	dst = append(dst, byte(dt))
+	dst = grow(dst, tensorSize(t))
+	dst = append(dst, byte(t.DType()))
 	dst = appendU32(dst, uint32(len(t.Shape)))
 	for _, d := range t.Shape {
 		dst = appendU32(dst, uint32(d))
 	}
-	if dt == tensor.Float32 {
-		for _, v := range t.Data32 {
-			dst = appendU32(dst, math.Float32bits(v))
-		}
-	} else {
-		for _, v := range t.Data {
-			dst = appendF64(dst, v)
-		}
+	n := len(dst)
+	dst = dst[:n+8*len(t.Data)+4*len(t.Data32)]
+	b := dst[n:]
+	for _, v := range t.Data32 {
+		binary.BigEndian.PutUint32(b, math.Float32bits(v))
+		b = b[4:]
+	}
+	for _, v := range t.Data {
+		binary.BigEndian.PutUint64(b, math.Float64bits(v))
+		b = b[8:]
 	}
 	return dst
 }
 
 // tensorInto decodes one tensor, reusing buf when its shape and dtype
 // match (the steady-state path for per-stage gradient and state traffic).
+// The data is taken as one size·elem slice — a single bounds check — and
+// decoded in a tight loop.
 func (c *cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
 	tag := c.u8()
 	if c.err != nil {
@@ -172,21 +199,26 @@ func (c *cursor) tensorInto(buf *tensor.Tensor) *tensor.Tensor {
 		c.fail("tensor size %d exceeds remaining payload", size)
 		return nil
 	}
+	b := c.take(size * es)
+	if b == nil {
+		return nil
+	}
 	dst := buf
 	if dst == nil || dst.DType() != dt || !sameShape(dst.Shape, shape) {
 		dst = tensor.NewOf(dt, shape...)
 	}
 	if dt == tensor.Float32 {
-		for i := 0; i < size; i++ {
-			dst.Data32[i] = math.Float32frombits(c.u32())
+		d := dst.Data32[:size]
+		for i := range d {
+			d[i] = math.Float32frombits(binary.BigEndian.Uint32(b))
+			b = b[4:]
 		}
 	} else {
-		for i := 0; i < size; i++ {
-			dst.Data[i] = c.f64()
+		d := dst.Data[:size]
+		for i := range d {
+			d[i] = math.Float64frombits(binary.BigEndian.Uint64(b))
+			b = b[8:]
 		}
-	}
-	if c.err != nil {
-		return nil
 	}
 	return dst
 }
@@ -203,8 +235,10 @@ func sameShape(a, b []int) bool {
 	return true
 }
 
-// appendTensors encodes a counted list of tensors.
+// appendTensors encodes a counted list of tensors, reserving the whole
+// list's bytes up front.
 func appendTensors(dst []byte, ts []*tensor.Tensor) []byte {
+	dst = grow(dst, tensorsSize(ts))
 	dst = appendU32(dst, uint32(len(ts)))
 	for _, t := range ts {
 		dst = appendTensor(dst, t)
