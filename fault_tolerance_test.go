@@ -172,12 +172,13 @@ func TestTransientFaultsRecoverWithZeroDeviation(t *testing.T) {
 
 // TestCrashMidCollectiveNeverDeadlocks kills a follower's link on the
 // 2nd message of each collective that crosses the wire — scatter,
-// sharded pre-step, step, gather, broadcast, clock sync — in every
+// sharded pre-step, step, gather, broadcast, clock advance — in every
 // commit mode, under -race. The contract is eviction (run completes
 // over the survivors) or a clean error naming the replica; never a
-// hang. The sharded commit without fault tolerance is pinned to the
-// clean-error side: the dead owner's moment shard is gone, so eviction
-// is not sound there.
+// hang. Under the serial commit no follower owns a stage, so the run
+// must evict with or without fault tolerance. The sharded commit without
+// fault tolerance is pinned to the clean-error side: the dead owner's
+// moment shard is gone, so eviction is not sound there.
 func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -185,7 +186,8 @@ func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 		sharded, ft bool
 	}{
 		{"serial/broadcast", transport.MsgSetState, false, true},
-		{"serial/clock-sync", transport.MsgSync, false, true},
+		{"serial/broadcast/no-ft", transport.MsgSetState, false, false},
+		{"serial/clock-sync", transport.MsgBeginStep, false, true},
 		{"sharded/scatter", transport.MsgSetGrads, true, true},
 		{"sharded/prepare", transport.MsgPrepare, true, true},
 		{"sharded/step", transport.MsgStep, true, true},
@@ -219,9 +221,10 @@ func TestCrashMidCollectiveNeverDeadlocks(t *testing.T) {
 				t.Fatalf("run completed with %d replicas — the killed link neither evicted nor errored", tr.Replicas())
 			case err != nil && !strings.Contains(err.Error(), "replica 1"):
 				t.Fatalf("error %q does not name the failed replica", err)
-			case err != nil && tc.ft && !tc.sharded:
-				// Serial-commit failures are always evictable; an error here
-				// means the eviction path regressed.
+			case err != nil && !tc.sharded:
+				// A serial-commit follower owns no stage, so its failure is
+				// always evictable; an error here means the eviction path
+				// regressed.
 				t.Fatalf("serial commit aborted instead of evicting: %v", err)
 			case err == nil && !tc.ft && tc.sharded:
 				t.Fatal("sharded commit without fault tolerance evicted; the dead owner's moments were unrecoverable")

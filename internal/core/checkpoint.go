@@ -332,8 +332,8 @@ func (t *Trainer) RestoreLatest(dir string) (int, error) {
 }
 
 // syncMember pushes the leader's complete live state to one member:
-// the epoch clock, every stage's state and the step clock (the
-// leader-serial broadcast, replica.PushState), then the weight-version
+// the epoch clock, every stage's state and the step clock
+// (replica.PushState), then the weight-version
 // rings. It is the whole state a replica trains from, which makes it both
 // the restore re-synchronization and the live handoff a mid-run joiner
 // (or a rejoining standby) receives: a member that has seen syncMember is

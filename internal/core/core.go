@@ -190,9 +190,11 @@ type Config struct {
 	// owns a contiguous shard of the pipeline stages, holds the optimizer
 	// moment state only for that shard, and steps it locally after the
 	// gradient all-reduce; the stepped weights (and T2 state) then
-	// all-gather back. Curves stay bit-identical to the leader-serial
-	// commit. The default (ShardedStepAuto) shards whenever Replicas > 1
-	// and the optimizer supports it (optim.ShardCloner).
+	// all-gather back. Off, the commit plan has one owner: the leader
+	// steps every stage and the gather broadcasts its state (the
+	// leader-serial commit). Curves are bit-identical either way. The
+	// default (ShardedStepAuto) shards whenever Replicas > 1 and the
+	// optimizer supports it (optim.ShardCloner).
 	ShardedStep ShardedStepMode
 
 	// Engine selects the execution engine; nil means the single-goroutine
@@ -214,10 +216,10 @@ type Config struct {
 	// (optim.Stateful over the full parameter range), stage state carries
 	// the moments through every gather and broadcast, and a dead owner's
 	// shard therefore survives on its peers — the precondition for
-	// deterministic eviction when the commit is sharded. Serial-commit
-	// eviction needs no extra state and works regardless. Enabled
-	// automatically when checkpointing is configured with a sharded
-	// commit (the restore path needs the mirrored moments).
+	// deterministic eviction of an owner. A follower that owns no stage
+	// (every follower under the leader-serial commit) is evictable
+	// without it. Enabled automatically when checkpointing is configured
+	// with a sharded commit (the restore path needs the mirrored moments).
 	FaultTolerant bool
 
 	// Elastic enables mid-run scale-up: the leader accepts joining worker
@@ -298,7 +300,8 @@ const (
 	// ShardedStepOn requires the sharded commit; building the trainer
 	// fails when Replicas < 2 or the optimizer cannot shard.
 	ShardedStepOn
-	// ShardedStepOff forces the leader-serial commit + full broadcast.
+	// ShardedStepOff commits over a one-owner plan: the leader steps
+	// every stage and the gather broadcasts its full state.
 	ShardedStepOff
 )
 
@@ -454,22 +457,9 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 			return nil, fmt.Errorf("core: task %T does not implement Replicable; %d-replica training needs CloneTask (or a Followers factory)", task, replicas)
 		}
 	}
-	sharded := false
-	switch cfg.ShardedStep {
-	case ShardedStepAuto:
-		_, ok := opt.(optim.ShardCloner)
-		sharded = replicas > 1 && ok
-	case ShardedStepOn:
-		if replicas < 2 {
-			return nil, fmt.Errorf("core: the sharded optimizer step needs at least 2 replicas, got %d (it shards the commit across replicas)", replicas)
-		}
-		if _, ok := opt.(optim.ShardCloner); !ok {
-			return nil, fmt.Errorf("core: optimizer %T does not support state sharding (optim.ShardCloner); use ShardedStepOff for the leader-serial commit", opt)
-		}
-		sharded = true
-	case ShardedStepOff:
-	default:
-		return nil, fmt.Errorf("core: unknown sharded-step mode %d", int(cfg.ShardedStep))
+	sharded, err := shardedStep(cfg.ShardedStep, opt, replicas)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.CheckpointDir != "" && cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 1
@@ -582,7 +572,7 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 	}
 	t.flows = make(map[int]*flight)
 	t.sharded = sharded
-	t.plan = engine.NewCommitPlan(p, replicas)
+	t.plan = t.commitPlan(replicas)
 	// Per-stage exchange layout (StageState): fixed after construction, so
 	// built once instead of per commit. Under the fault-tolerant layout the
 	// stage's optimizer moments ride along, so every gather, broadcast and
@@ -615,9 +605,41 @@ func New(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config) (*Tra
 		if err != nil {
 			return nil, err
 		}
-		t.followers = append(t.followers, host{f})
+		t.followers = append(t.followers, f)
 	}
 	return t, nil
+}
+
+// shardedStep resolves a sharded-step mode for an R-replica trainer:
+// Auto shards whenever R > 1 and the optimizer can split its state
+// (optim.ShardCloner); On demands both.
+func shardedStep(mode ShardedStepMode, opt optim.Optimizer, replicas int) (bool, error) {
+	_, cloner := opt.(optim.ShardCloner)
+	switch mode {
+	case ShardedStepAuto:
+		return replicas > 1 && cloner, nil
+	case ShardedStepOn:
+		if replicas < 2 {
+			return false, fmt.Errorf("core: the sharded optimizer step needs at least 2 replicas, got %d (it shards the commit across replicas)", replicas)
+		}
+		if !cloner {
+			return false, fmt.Errorf("core: optimizer %T does not support state sharding (optim.ShardCloner); use ShardedStepOff for the leader-serial commit", opt)
+		}
+		return true, nil
+	case ShardedStepOff:
+		return false, nil
+	}
+	return false, fmt.Errorf("core: unknown sharded-step mode %d", int(mode))
+}
+
+// commitPlan is the stage→owner plan of an r-replica commit: every
+// replica owns a shard when the step is sharded, otherwise the leader
+// owns every stage.
+func (t *Trainer) commitPlan(r int) engine.CommitPlan {
+	if !t.sharded {
+		r = 1
+	}
+	return engine.NewCommitPlan(t.clock.P, r)
 }
 
 // stageLayout lists stage s's state tensors in the one order every state
@@ -670,10 +692,11 @@ func (t *Trainer) checkRing(s, base int, snaps [][]*tensor.Tensor) error {
 	return nil
 }
 
-// shardOf maps replica r's stage shard to its optimizer parameter range
-// under the current partition (empty when the replica owns no stages).
-func (t *Trainer) shardOf(r int) optim.Shard {
-	lo, hi := t.plan.Shard(r)
+// shardOf maps replica r's stage shard under pl to its optimizer
+// parameter range in this trainer's partition (empty when the replica
+// owns no stages).
+func (t *Trainer) shardOf(pl engine.CommitPlan, r int) optim.Shard {
+	lo, hi := pl.Shard(r)
 	if lo == hi {
 		return optim.Shard{}
 	}
@@ -786,12 +809,10 @@ func measuredGroupCosts(st StageTask, groups []pipeline.ParamGroup, microbatchSi
 
 // newFollower clones the leader's task, copies the leader's current
 // (initial) weights into the clone — so the follower's version store
-// seeds with the same version-0 snapshot — and builds the follower
-// trainer. Under the sharded commit the follower's optimizer is a
-// state-sharded sibling of the leader's (optim.ShardCloner) holding
-// moment buffers only for the stages the follower owns; otherwise the
-// follower is never stepped and gets a stateless placeholder.
-func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
+// seeds with the same version-0 snapshot — pins the leader's partition
+// costs, and builds the follower through NewFollower, exactly as a
+// worker process does.
+func (t *Trainer) newFollower(rep Replicable, r int) (replica.Local, error) {
 	ct := rep.CloneTask()
 	var cps []*nn.Param
 	for _, g := range ct.Groups() {
@@ -807,31 +828,14 @@ func (t *Trainer) newFollower(rep Replicable, r int) (*Trainer, error) {
 		}
 		cp.Data.CopyFrom(t.params[i].Data)
 	}
-	fcfg := followerConfig(t.cfg, r)
-	if fcfg.Partition != pipeline.PartitionEven {
+	cfg := t.cfg // Replicas is R: New builds followers only when R > 1
+	if cfg.Partition != pipeline.PartitionEven {
 		// Followers must land on the leader's exact partition: reuse its
 		// (possibly measured) cost vector instead of re-estimating, so a
 		// noisy profile pass cannot skew a follower's stage boundaries.
-		fcfg.GroupCosts = t.groupCosts
+		cfg.GroupCosts = t.groupCosts
 	}
-	var fopt optim.Optimizer
-	switch {
-	case t.cfg.FaultTolerant:
-		// Fault tolerance mirrors the full moment state onto every replica
-		// so any survivor can own any stage after an eviction.
-		fopt = t.opt.(optim.ShardCloner).CloneShard(cps, optim.FullShard(len(cps)))
-	case t.sharded:
-		fopt = t.opt.(optim.ShardCloner).CloneShard(cps, t.shardOf(r))
-	default:
-		// Leader-serial commit: the follower never steps, so it holds no
-		// moment state at all (an empty shard).
-		fopt = optim.NewSGDShard(cps, 0, 0, optim.Shard{})
-	}
-	f, err := New(ct, fopt, t.sched, fcfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: building replica %d: %w", r, err)
-	}
-	return f, nil
+	return NewFollower(ct, t.opt, t.sched, cfg, r)
 }
 
 // followerConfig derives replica r's configuration from its leader's by
@@ -854,16 +858,19 @@ func followerConfig(cfg Config, r int) Config {
 	return cfg
 }
 
-// NewFollower builds the standalone worker-process counterpart of the
-// in-process followers New builds for Replicas > 1: a follower trainer
-// for replica r of cfg.Replicas, returned as its member surface, ready
-// to be served to a remote leader (internal/transport). The caller
-// supplies a task, optimizer and schedule constructed exactly as the
-// leader's — same seeds, same options — which the transport handshake
-// verifies end to end with a checksum over the initial per-stage state.
-// Unlike the in-process path the task is used directly, not cloned: the
-// worker process owns it.
-func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, r int) (replica.Member, error) {
+// NewFollower builds a follower trainer for replica r of cfg.Replicas,
+// returned as its local member surface: the in-process followers New
+// builds for Replicas > 1, and the worker-process follower served to a
+// remote leader (internal/transport). The caller supplies a task,
+// optimizer and schedule constructed exactly as the leader's — same
+// seeds, same options — which the transport handshake verifies end to
+// end with a checksum over the initial per-stage state. The task is used
+// directly, not cloned. The follower's optimizer is a state-sharded
+// sibling of opt (optim.ShardCloner): full moments under fault
+// tolerance, the moments of the stages replica r owns under the sharded
+// step, and none at all otherwise — a follower that owns no stage is
+// never stepped.
+func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Config, r int) (replica.Local, error) {
 	R := cfg.Replicas
 	if R < 2 {
 		return nil, fmt.Errorf("core: a follower needs Replicas >= 2, got %d", R)
@@ -871,18 +878,9 @@ func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Confi
 	if r < 1 || r >= R {
 		return nil, fmt.Errorf("core: follower replica %d out of range [1, %d)", r, R)
 	}
-	sharded := false
-	switch cfg.ShardedStep {
-	case ShardedStepAuto:
-		_, sharded = opt.(optim.ShardCloner)
-	case ShardedStepOn:
-		if _, ok := opt.(optim.ShardCloner); !ok {
-			return nil, fmt.Errorf("core: optimizer %T does not support state sharding (optim.ShardCloner); use ShardedStepOff for the leader-serial commit", opt)
-		}
-		sharded = true
-	case ShardedStepOff:
-	default:
-		return nil, fmt.Errorf("core: unknown sharded-step mode %d", int(cfg.ShardedStep))
+	sharded, err := shardedStep(cfg.ShardedStep, opt, R)
+	if err != nil {
+		return nil, err
 	}
 	var ps []*nn.Param
 	for _, g := range task.Groups() {
@@ -909,12 +907,7 @@ func NewFollower(task Task, opt optim.Optimizer, sched optim.Schedule, cfg Confi
 		// through this follower's (identical) stage boundaries. Without the
 		// fault-tolerant layout no stage state aliases the optimizer, so
 		// swapping it in after construction is safe.
-		plan := engine.NewCommitPlan(f.clock.P, R)
-		lo, hi := plan.Shard(r)
-		sh := optim.Shard{}
-		if lo != hi {
-			sh = optim.Shard{Lo: f.stageLo[lo], Hi: f.stageHi[hi-1]}
-		}
+		sh := f.shardOf(engine.NewCommitPlan(f.clock.P, R), r)
 		f.opt = opt.(optim.ShardCloner).CloneShard(ps, sh)
 	}
 	return host{f}, nil
@@ -1416,10 +1409,6 @@ func (t *Trainer) setStep(step int) {
 // learning rates (T1 annealing, T3 warmup phase) agree with the leader's.
 func (h host) SetEpoch(epoch int) { h.t.epoch = epoch }
 
-// ShardedStep reports whether the optimizer commit is sharded across the
-// replicas (replica.Leader).
-func (h host) ShardedStep() bool { return h.t.sharded }
-
 // CommitShards returns the stage→replica owner plan (replica.Leader) —
 // the same plan the followers' optimizer moment shards were allocated
 // from (shardOf), so the replica layer steps exactly the state each
@@ -1479,9 +1468,9 @@ func (h host) StageState(stage int) []*tensor.Tensor {
 // StageState) into this replica and pushes the stage's next weight
 // version, mirroring the version push the source's FinishStage did so
 // every replica's version queue replays the same history. It serves the
-// sharded gather, the leader-serial broadcast and the restore and join
-// handoffs alike. A src that does not match the layout panics (the
-// worker's serve loop turns that into an error reply).
+// commit's gather and the restore and join handoffs alike. A src that
+// does not match the layout panics (the worker's serve loop turns that
+// into an error reply).
 func (h host) ImportStageState(stage int, src []*tensor.Tensor) {
 	t := h.t
 	dst := t.stageState[stage]
@@ -1506,7 +1495,7 @@ func (h host) FaultTolerant() bool { return h.t.momentShare }
 func (h host) EvictFollower(r int) {
 	t := h.t
 	t.followers = append(t.followers[:r-1], t.followers[r:]...)
-	t.plan = engine.NewCommitPlan(t.clock.P, len(t.followers)+1)
+	t.plan = t.commitPlan(len(t.followers) + 1)
 }
 
 // JoinFollower appends an admitted member as the last follower and
@@ -1516,7 +1505,7 @@ func (h host) EvictFollower(r int) {
 func (h host) JoinFollower(m replica.Member) {
 	t := h.t
 	t.followers = append(t.followers, m)
-	t.plan = engine.NewCommitPlan(t.clock.P, len(t.followers)+1)
+	t.plan = t.commitPlan(len(t.followers) + 1)
 }
 
 // RestoreVersions replaces a stage's weight-version ring (replica.Member)

@@ -65,11 +65,11 @@ func TestFollowersHoldOnlyTheirOptimizerShard(t *testing.T) {
 			covered[i]++
 		}
 	}
-	markShard(tr.shardOf(0)) // the leader's own shard
+	markShard(tr.shardOf(tr.plan, 0)) // the leader's own shard
 	for r, m := range tr.followers {
 		f := m.(host).t
 		got := f.opt.(interface{ StateRange() optim.Shard }).StateRange()
-		want := tr.shardOf(r + 1)
+		want := tr.shardOf(tr.plan, r+1)
 		if got != want {
 			t.Fatalf("follower %d holds state for %+v, want its stage shard's params %+v", r+1, got, want)
 		}

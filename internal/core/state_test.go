@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -97,16 +98,18 @@ func checkpointOf(tb testing.TB, tr *Trainer) []byte {
 // a test builds a well-formed file carrying bad content.
 func rewriteSections(tb testing.TB, raw []byte, edit func(h transport.Header, payload []byte) []byte) []byte {
 	tb.Helper()
-	var out []byte
+	var out bytes.Buffer
 	for rest := raw; len(rest) > 0; {
 		h, payload, next, err := transport.NextMessage(rest)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = transport.AppendMessage(out, h, edit(h, payload))
+		if err := transport.WriteMessage(&out, h, edit(h, payload)); err != nil {
+			tb.Fatal(err)
+		}
 		rest = next
 	}
-	return out
+	return out.Bytes()
 }
 
 // withRing0 returns raw with stage 0's ring section replaced by the

@@ -56,8 +56,14 @@ func (pl CommitPlan) Stages() int { return pl.p }
 // Owners returns the number of owners the plan shards across.
 func (pl CommitPlan) Owners() int { return len(pl.lo) - 1 }
 
-// Shard returns the stage range [lo, hi) owner r steps.
-func (pl CommitPlan) Shard(r int) (lo, hi int) { return pl.lo[r], pl.lo[r+1] }
+// Shard returns the stage range [lo, hi) owner r steps. Any r at or past
+// Owners() owns nothing: its range is empty.
+func (pl CommitPlan) Shard(r int) (lo, hi int) {
+	if r >= pl.Owners() {
+		return pl.p, pl.p
+	}
+	return pl.lo[r], pl.lo[r+1]
+}
 
 // OwnerOf returns the owner of a stage.
 func (pl CommitPlan) OwnerOf(stage int) int {
@@ -75,10 +81,10 @@ func (pl CommitPlan) OwnerOf(stage int) int {
 // arithmetic is exactly the serial stage-ordered commit: average+snapshot
 // per stage, the stage-ordered clip-norm reduction, one step-clock
 // advance, the per-stage optimizer updates, then per-stage finalization.
-// It is the serial executor used by the Reference engine and by the
-// replicated engine's leader-serial (non-sharded) commit; the concurrent
-// and replica-sharded commits distribute the same shards across workers or
-// replica members with barriers between the phases.
+// It is the serial executor of the Reference engine; the concurrent engine
+// distributes the same shards across its workers, and the replica layer
+// across replica members (replica.Group.Commit), with barriers between
+// the phases.
 func (pl CommitPlan) Commit(h Host, nMicro int) {
 	p := pl.p
 	tr, rep := trace.FromCarrier(h)

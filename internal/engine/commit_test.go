@@ -10,8 +10,9 @@ import (
 // TestCommitPlanCoversEveryStageExactlyOnce is the shard-assignment
 // property the sharded commit's correctness rests on, swept over
 // P ∈ {1..8} × owners ∈ {1..4} (the replica grid) plus owners > P: shards
-// are contiguous, ascending, sizes differ by at most one, and
-// concatenating them in owner order enumerates every stage exactly once.
+// are contiguous, ascending, sizes differ by at most one, concatenating
+// them in owner order enumerates every stage exactly once, and positions
+// at or past the owner count own nothing.
 func TestCommitPlanCoversEveryStageExactlyOnce(t *testing.T) {
 	for p := 1; p <= 8; p++ {
 		for owners := 1; owners <= 4; owners++ {
@@ -41,6 +42,13 @@ func TestCommitPlanCoversEveryStageExactlyOnce(t *testing.T) {
 			}
 			if next != p {
 				t.Fatalf("P=%d owners=%d: shards cover %d stages, want %d", p, owners, next, p)
+			}
+			// Positions past the owner count — replicas a one-owner plan
+			// leaves idle — own nothing.
+			for r := owners; r < owners+3; r++ {
+				if lo, hi := pl.Shard(r); lo != hi {
+					t.Fatalf("P=%d owners=%d: Shard(%d) = [%d, %d), want empty", p, owners, r, lo, hi)
+				}
 			}
 			if owners <= p && maxSz-minSz > 1 {
 				t.Fatalf("P=%d owners=%d: shard sizes span [%d, %d], want balanced within 1", p, owners, minSz, maxSz)

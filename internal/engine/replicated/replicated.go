@@ -5,11 +5,12 @@
 // inner engine (Reference or the concurrent stage-worker engine, so
 // pipeline overlap composes with replication), concurrently. One shared
 // optimizer step commits after a deterministic tree all-reduce of the
-// followers' per-microbatch gradients: leader-serial with a full-state
-// broadcast when the sharded step is off, or — the default for R > 1 —
-// the ZeRO-style replica-sharded commit in which every replica steps only
-// its own stage shard against its local shard of the optimizer state and
-// the stepped weights all-gather back (replica.Group.Commit).
+// followers' per-microbatch gradients, through the ZeRO-style owner
+// protocol (replica.Group.Commit): every owner in the leader's commit plan
+// steps its stage shard against its local shard of the optimizer state and
+// the stepped weights all-gather back. By default (R > 1) every replica
+// owns a shard; with the sharded step off the leader owns every stage, so
+// the commit is leader-serial and the gather is the full broadcast.
 //
 // Training curves are bit-identical to a single-replica run of the same
 // global microbatch set under the Reference engine, for any R, either
@@ -152,12 +153,11 @@ func (e *Engine) Stop() {
 // Minibatch splits the minibatch across the replicas, runs the R chunk
 // computations concurrently (each through its own inner engine), then
 // tree-reduces the gradients into the leader and commits one shared
-// optimizer step through the group — leader-serial + broadcast, or the
-// replica-sharded owner protocol when the leader enables it.
+// optimizer step through the group's owner protocol.
 //
 // A fatal but evictable member failure (replica.MemberError — a dead
-// remote follower under the serial commit, or any commit mode when the
-// leader trains fault-tolerantly) does not abort the run: the member is
+// remote follower that owns no stage, or any follower when the leader
+// trains fault-tolerantly) does not abort the run: the member is
 // evicted, the group re-chunks over the survivors, and the interrupted
 // minibatch replays when its result was lost with the member. The
 // replayed minibatch — and the whole curve after it — is bit-identical
@@ -203,9 +203,10 @@ func (e *Engine) Minibatch(ctx context.Context, h engine.Host, micros [][]int) (
 		e.ctl.Instant(trace.NameEvict, -1, -1, 0)
 		e.evict(me.Replica)
 		if !me.Replay {
-			// The commit completed before the failure surfaced (serial
-			// commit: the leader stepped and every survivor synced
-			// independently) — the minibatch stands, no replay.
+			// The commit completed before the failure surfaced (a member
+			// that owns no stage died in the gather: every owner stepped
+			// and every survivor imported independently) — the minibatch
+			// stands, no replay.
 			e.recoveryNs += time.Since(recoverStart).Nanoseconds()
 			return loss, nil
 		}
@@ -255,9 +256,9 @@ func (e *Engine) runOnce(ctx context.Context, micros [][]int) (float64, error) {
 		case err != nil && errors.Is(err, replica.ErrStraggler) && e.group.CanEvict(i, err):
 			// Demotable, not evictable: the member did not latch a fault
 			// — its late reply is still in flight. The eligibility
-			// conditions are eviction's (never the leader, never without
-			// fault tolerance under a sharded commit), because a demoted
-			// member leaves the commit plan exactly like an evicted one.
+			// conditions are eviction's (never the leader, never an owner
+			// without fault tolerance), because a demoted member leaves
+			// the commit plan exactly like an evicted one.
 			if stragglePos < 0 {
 				stragglePos, straggleErr = i, err
 			}
@@ -298,13 +299,19 @@ func (e *Engine) runOnce(ctx context.Context, micros [][]int) (float64, error) {
 // and the group closes the member, re-chunks, and rebuilds the leader's
 // commit plan over the survivors.
 func (e *Engine) evict(pos int) {
+	e.dropEngine(pos)
+	e.group.Evict(pos)
+}
+
+// dropEngine stops member pos's local inner engine (if any) and splices
+// it out, in lockstep with the group's member list.
+func (e *Engine) dropEngine(pos int) {
 	if in := e.engines[pos]; in != nil {
 		if lc, ok := in.(engine.Lifecycle); ok {
 			lc.Stop()
 		}
 	}
 	e.engines = append(e.engines[:pos], e.engines[pos+1:]...)
-	e.group.Evict(pos)
 }
 
 // FaultStats reports how many members this engine has evicted and the
@@ -328,12 +335,7 @@ func (e *Engine) demote(pos int) {
 	if !ok {
 		return
 	}
-	if in := e.engines[pos]; in != nil {
-		if lc, ok := in.(engine.Lifecycle); ok {
-			lc.Stop()
-		}
-	}
-	e.engines = append(e.engines[:pos], e.engines[pos+1:]...)
+	e.dropEngine(pos)
 	e.standbys = append(e.standbys, m)
 }
 

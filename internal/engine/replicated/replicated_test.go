@@ -120,8 +120,9 @@ func (m *stubMember) SetStep(int) {
 
 func (m *stubMember) RestoreVersions(int, int, [][]*tensor.Tensor) {}
 
-// stubLeader owns one follower and enables the sharded commit, so the
-// cancellation test exercises the sharded protocol's gate.
+// stubLeader owns one follower and shards the commit plan across both
+// replicas, so the cancellation test exercises the sharded protocol's
+// gate.
 type stubLeader struct {
 	*stubMember
 	follower *stubMember
@@ -129,7 +130,6 @@ type stubLeader struct {
 
 func (l *stubLeader) Replicas() int                   { return 2 }
 func (l *stubLeader) Follower(int) replica.Member     { return l.follower }
-func (l *stubLeader) ShardedStep() bool               { return true }
 func (l *stubLeader) CommitShards() engine.CommitPlan { return engine.NewCommitPlan(l.p, 2) }
 func (l *stubLeader) Step() int                       { return 0 }
 func (l *stubLeader) Epoch() int                      { return 0 }

@@ -73,20 +73,21 @@ func (g *Group) Admit(m Member) {
 		j.JoinFollower(m)
 	}
 	g.plan = g.lead.CommitShards()
-	g.sharded = len(g.members) > 1 && g.lead.ShardedStep()
 }
 
-// Demote removes member pos from the group exactly like Evict — the
-// leader drops the follower, the reduce tree and commit plan rebuild
-// over the survivors, positions above pos shift down — but leaves the
-// member's connection open and returns it, so the caller can park it as
-// a standby and readmit it through Admit once it has caught up.
+// Demote removes member pos from the group — the leader drops the
+// follower, the reduce tree and commit plan rebuild over the survivors,
+// positions above pos shift down — but leaves the member's connection
+// open and returns it, so the caller can park it as a standby and readmit
+// it through Admit once it has caught up. Evict is Demote plus Close.
 func (g *Group) Demote(pos int) (Member, bool) {
 	if pos <= 0 || pos >= len(g.members) {
 		return nil, false
 	}
 	m := g.members[pos].member
 	g.members = append(g.members[:pos], g.members[pos+1:]...)
+	// The collectives tracks splice in lockstep so survivors keep writing
+	// the track created under their original replica index.
 	if g.ctracks != nil {
 		g.ctracks = append(g.ctracks[:pos], g.ctracks[pos+1:]...)
 	}
@@ -94,6 +95,5 @@ func (g *Group) Demote(pos int) (Member, bool) {
 		ev.EvictFollower(pos)
 	}
 	g.plan = g.lead.CommitShards()
-	g.sharded = len(g.members) > 1 && g.lead.ShardedStep()
 	return m, true
 }

@@ -40,10 +40,9 @@ func (e *MemberError) Unwrap() error { return e.Err }
 
 // FaultTolerer is implemented by leaders that train fault-tolerantly:
 // every follower holds full optimizer moments (mirrored each commit), so
-// an evicted owner's shard state survives on its peers and the sharded
-// commit can rebuild over R−1 members. Serial-commit groups are always
-// evictable; sharded groups only when the leader reports fault
-// tolerance.
+// an evicted owner's shard state survives on its peers and the commit
+// plan can rebuild over R−1 members. Without fault tolerance only members
+// that own no stage are evictable.
 type FaultTolerer interface {
 	FaultTolerant() bool
 }
@@ -58,9 +57,10 @@ type Evictor interface {
 // CanEvict reports whether member pos's failure err may be handled by
 // eviction instead of aborting the run. The leader (pos 0) is never
 // evictable, cancellation is the caller's intent rather than a fault,
-// a member without sticky-error support gives no clean failure point,
-// and a sharded commit without fault tolerance has lost the dead
-// owner's moment shard.
+// and a member without sticky-error support gives no clean failure
+// point. Otherwise the failure is evictable when the leader trains
+// fault-tolerantly or the member owns no stage in the current plan:
+// without fault tolerance a dead owner takes its moment shard with it.
 func (g *Group) CanEvict(pos int, err error) bool {
 	if pos <= 0 || pos >= len(g.members) || err == nil {
 		return false
@@ -71,38 +71,24 @@ func (g *Group) CanEvict(pos int, err error) bool {
 	if _, ok := g.members[pos].member.(Erring); !ok {
 		return false
 	}
-	return !g.sharded || g.ft
+	return g.ft || !g.owns(pos)
 }
 
-// Evict removes member pos from the group: the member's connection is
-// closed (best effort), the leader drops the follower and rebuilds its
-// commit plan over the survivors, and the group's reduce tree and commit
-// mode shrink accordingly. Positions above pos shift down by one, in
+// Evict removes member pos from the group like Demote and closes its
+// connection (best effort). Positions above pos shift down by one, in
 // lockstep with the leader's follower list.
 func (g *Group) Evict(pos int) {
-	if pos <= 0 || pos >= len(g.members) {
-		return
+	if m, ok := g.Demote(pos); ok {
+		if cl, ok := m.(io.Closer); ok {
+			cl.Close()
+		}
 	}
-	if cl, ok := g.members[pos].member.(io.Closer); ok {
-		cl.Close()
-	}
-	g.members = append(g.members[:pos], g.members[pos+1:]...)
-	// The collectives tracks splice in lockstep so survivors keep writing
-	// the track created under their original replica index.
-	if g.ctracks != nil {
-		g.ctracks = append(g.ctracks[:pos], g.ctracks[pos+1:]...)
-	}
-	if ev, ok := g.lead.(Evictor); ok {
-		ev.EvictFollower(pos)
-	}
-	g.plan = g.lead.CommitShards()
-	g.sharded = len(g.members) > 1 && g.lead.ShardedStep()
 }
 
 // ResetGrads returns every member's gradient accumulators to zero before
 // a minibatch replays. The leader needs it because its own chunk
 // accumulates in place (a replay would double-count), and a surviving
-// sharded-commit owner needs it because an interrupted scatter may have
+// owner needs it because an interrupted scatter may have
 // parked reduced gradients in its accumulators.
 func (g *Group) ResetGrads() {
 	p := g.lead.Stages()

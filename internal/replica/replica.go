@@ -4,15 +4,15 @@
 // microbatches between them, and a deterministic tree all-reduce folds the
 // per-microbatch gradients into the leader replica before one shared
 // optimizer step — the PipeDream-style hybrid of pipeline and data
-// parallelism. The step itself commits in one of two modes (Group.Commit):
-// leader-serial, with the post-step state broadcast back to the followers,
-// or — the default for R > 1 — replica-sharded ZeRO / PipeDream-2BW
-// style: an engine.CommitPlan assigns each stage to a replica owner, the
-// leader's reduced gradients scatter to their owners, every owner steps
-// its shard against its local shard of the optimizer state, and the
-// stepped weights all-gather back (the inverted broadcast), so the commit
-// tail no longer runs serially on the leader and followers hold no
-// redundant optimizer state.
+// parallelism. The step commits through one owner protocol (Group.Commit,
+// ZeRO / PipeDream-2BW style): the leader's engine.CommitPlan assigns each
+// stage to a replica owner, the leader's reduced gradients scatter to
+// their owners, every owner steps its shard against its local shard of
+// the optimizer state, and the stepped weights all-gather back to every
+// other replica. A plan with R owners spreads the commit tail across the
+// replicas and leaves no redundant optimizer state on followers; a plan
+// with one owner is the leader-serial commit, whose gather is the full
+// state broadcast.
 //
 // # Determinism
 //
@@ -48,22 +48,24 @@ import (
 	"pipemare/internal/trace"
 )
 
-// Member is one replica's trainer-side surface: the engine.Host that
-// drives its pipeline plus the gradient/weight/state exchange operations
-// the replica layer needs. It is implemented by internal/core.Trainer's
+// Member is one replica's commit and exchange surface: what the group
+// drives on every replica, in this process or across the wire
+// (transport.RemoteMember). It is implemented by internal/core.Trainer's
 // host.
 type Member interface {
-	engine.Host
-	// TakeStageGrads moves the stage's accumulated parameter gradients
-	// into bufs (allocating buffers when bufs is nil) and zeroes the
-	// stage's accumulators. It must only be called from the goroutine
-	// that owns the stage's slots.
-	TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.Tensor
-	// FoldStageGrads adds previously exported buffers into the stage's
-	// accumulators with exactly one add per element.
-	FoldStageGrads(stage int, bufs []*tensor.Tensor)
+	// Stages returns P.
+	Stages() int
+
+	// The commit phases of engine.Host, which a member runs for the
+	// stages it owns in Group.Commit.
+	PrepareStage(stage, nMicro int) float64
+	ScaleStage(stage int, scale float64)
+	BeginStep()
+	StepStage(stage int)
+	FinishStage(stage int)
+
 	// SetStageGrads overwrites the stage's gradient accumulators with
-	// bufs (a pure copy) — the scatter half of the sharded commit.
+	// bufs (a pure copy) — the scatter half of the commit.
 	SetStageGrads(stage int, bufs []*tensor.Tensor)
 	// StageState returns the stage's live post-step state tensors
 	// (masters, then T2 δ and corrected when enabled) in a fixed layout;
@@ -72,8 +74,8 @@ type Member interface {
 	// ImportStageState copies a stage's post-step state from another
 	// replica's StageState layout and pushes the replica's next weight
 	// version for that stage. It is the one way stage state enters a
-	// replica: the sharded gather, the leader-serial broadcast, and the
-	// restore and join handoffs all go through it.
+	// replica: the commit's gather and the restore and join handoffs all
+	// go through it.
 	ImportStageState(stage int, src []*tensor.Tensor)
 	// SetEpoch aligns the epoch clock so the commit-phase learning rates
 	// (T1/T3 phase) agree on every owner.
@@ -88,23 +90,36 @@ type Member interface {
 	RestoreVersions(stage, base int, snaps [][]*tensor.Tensor)
 }
 
-// Leader extends Member for the replica that owns the followers (the
+// Local is a member whose pipeline runs in this process: the engine.Host
+// an inner engine drives through Compute, plus the per-stage gradient
+// export followers make after each backward slot.
+type Local interface {
+	Member
+	engine.Host
+	// TakeStageGrads moves the stage's accumulated parameter gradients
+	// into bufs (allocating buffers when bufs is nil) and zeroes the
+	// stage's accumulators. It must only be called from the goroutine
+	// that owns the stage's slots.
+	TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.Tensor
+}
+
+// Leader extends Local for the replica that owns the followers (the
 // trainer the user built with WithReplicas(R)).
 type Leader interface {
-	Member
+	Local
+	// FoldStageGrads adds previously exported buffers into the stage's
+	// accumulators with exactly one add per element.
+	FoldStageGrads(stage int, bufs []*tensor.Tensor)
 	// Replicas returns the total replica count R (1 when replication is
 	// off).
 	Replicas() int
 	// Follower returns follower r's member surface, 1 ≤ r < Replicas().
 	Follower(r int) Member
-	// ShardedStep reports whether the optimizer commit is sharded across
-	// the replicas (the ZeRO-style owner protocol) instead of running
-	// leader-serial with a full broadcast.
-	ShardedStep() bool
-	// CommitShards returns the stage→replica owner plan of the sharded
-	// commit — the same plan the leader allocated its followers' optimizer
-	// moment shards from, so commit ownership and state ownership cannot
-	// drift apart.
+	// CommitShards returns the stage→replica owner plan of the commit —
+	// the one place that decides who steps which stage, and the plan the
+	// leader allocated its followers' optimizer moment shards from, so
+	// commit ownership and state ownership cannot drift apart. It has one
+	// owner (the leader) when the step is not sharded.
 	CommitShards() engine.CommitPlan
 	// Step returns the leader's optimizer step clock.
 	Step() int
@@ -133,8 +148,8 @@ type Runner interface {
 // Erring is implemented by members whose collective operations can fail
 // after the fact — remote members latch the first transport error and
 // fail every later operation fast. Group checks it after each collective
-// phase, so an I/O failure surfaces as a wrapped error from Commit or
-// Broadcast instead of a hang or a corrupted step.
+// phase, so an I/O failure surfaces as a wrapped error from Commit
+// instead of a hang or a corrupted step.
 type Erring interface {
 	Err() error
 }
@@ -149,16 +164,12 @@ type ContextBinder interface {
 // Group coordinates one leader and its followers for a replicated
 // execution engine: it owns the per-replica compute wrappers, splits each
 // minibatch into contiguous per-replica chunks, and runs the reduce and
-// commit phases — either the leader-serial commit with a full-state
-// broadcast, or (when the leader reports ShardedStep) the replica-sharded
-// commit protocol of Commit.
+// the owner-protocol commit.
 type Group struct {
 	lead    Leader
 	members []*Compute        // members[0] wraps the leader
-	plan    engine.CommitPlan // stage→replica owners (sharded commit)
-	serial  engine.CommitPlan // single-owner plan (leader-serial commit)
-	sharded bool
-	ft      bool // leader trains fault-tolerantly (full moments everywhere)
+	plan    engine.CommitPlan // stage→replica owners (the leader's CommitShards)
+	ft      bool              // leader trains fault-tolerantly (full moments everywhere)
 
 	scatter [][]*tensor.Tensor // per-stage staging for the grad scatter
 	sumSqs  []float64          // per-stage clip-norm partials
@@ -166,7 +177,7 @@ type Group struct {
 	// rec and ctracks carry the leader's trace recorder (nil when tracing
 	// is off). ctracks[i] is member i's collectives track: the orchestrator
 	// goroutine writes ctracks[0] (reduce, scatter, gather) and each
-	// eachMember/Broadcast goroutine writes only its own member's track,
+	// eachMember goroutine writes only its own member's track,
 	// with the phases' WaitGroup barriers ordering the handoffs.
 	rec     *trace.Recorder
 	ctracks []*trace.Track
@@ -181,8 +192,6 @@ func NewGroup(lead Leader) *Group {
 		g.members[i] = newCompute(lead.Follower(i), false)
 	}
 	g.plan = lead.CommitShards()
-	g.serial = engine.NewCommitPlan(lead.Stages(), 1)
-	g.sharded = r > 1 && lead.ShardedStep()
 	if ftl, ok := lead.(FaultTolerer); ok {
 		g.ft = ftl.FaultTolerant()
 	}
@@ -301,29 +310,10 @@ func (g *Group) Reduce() {
 	}
 }
 
-// Broadcast pushes the leader's post-step state to every follower
-// (concurrently: followers write disjoint state and only read the
-// leader's). It returns the first follower I/O failure.
-func (g *Group) Broadcast() error {
-	var wg sync.WaitGroup
-	for j, m := range g.members[1:] {
-		m, tk := m, g.ctracks[j+1]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := tk.Now()
-			PushState(g.lead, m.member)
-			tk.Span(trace.NameBroadcast, t0, -1, -1, 0)
-		}()
-	}
-	wg.Wait()
-	return g.Err()
-}
-
 // PushState copies the leader's post-step state into m: every stage's
 // StageState through ImportStageState (which also pushes m's version
 // queue, as the leader's FinishStage did), then the step clock. It is the
-// leader-serial broadcast, and the core of the restore and join handoffs.
+// core of the restore and join handoffs.
 func PushState(lead Leader, m Member) {
 	for st := 0; st < lead.Stages(); st++ {
 		m.ImportStageState(st, lead.StageState(st))
@@ -331,36 +321,23 @@ func PushState(lead Leader, m Member) {
 	m.SetStep(lead.Step())
 }
 
-// Commit commits one shared optimizer step for the minibatch Reduce just
-// folded into the leader: the leader-serial commit followed by the full
-// Broadcast when sharding is off, or the replica-sharded owner protocol.
-// A member failure surfaces as *MemberError when eviction can handle it
-// (CanEvict) and as a plain wrapped error otherwise; the group must not
-// commit again after a non-evictable error.
-func (g *Group) Commit(nMicro int) error {
-	if !g.sharded {
-		g.serial.Commit(g.lead, nMicro)
-		g.Broadcast()
-		if pos, err := g.firstFault(); pos >= 0 {
-			// The leader has stepped and every healthy follower synced from
-			// it independently, so a dead broadcast target evicts without
-			// replay: the minibatch's loss and step are already final.
-			return g.classify(pos, err, false)
-		}
-		return nil
-	}
-	return g.shardedCommit(nMicro)
+// owns reports whether member pos steps at least one stage under the
+// current plan.
+func (g *Group) owns(pos int) bool {
+	lo, hi := g.plan.Shard(pos)
+	return lo < hi
 }
 
-// shardedCommit is the ZeRO / PipeDream-2BW style replica-sharded commit.
-// The commit plan assigns each stage to a replica owner (contiguous
-// shards, sizes differing by at most one); each owner runs the commit
-// phases for its shard against its own parameter copies and its local
-// shard of the optimizer state, so no replica — leader included — steps
-// more than ⌈P/R⌉ stages and followers hold no moment state outside their
-// shard.
+// Commit commits one shared optimizer step for the minibatch Reduce just
+// folded into the leader, ZeRO / PipeDream-2BW style. The commit plan
+// assigns each stage to a replica owner (contiguous shards, sizes
+// differing by at most one); each owner runs the commit phases for its
+// shard against its own parameter copies and its local shard of the
+// optimizer state, so no replica — leader included — steps more than
+// ⌈P/owners⌉ stages. A one-owner plan is the leader-serial commit: the
+// leader steps every stage, and the gather is the full state broadcast.
 //
-// Determinism (bit-identical to the leader-serial commit, and hence to
+// Determinism (bit-identical for every owner count, and hence to
 // single-replica Reference):
 //
 //  1. The scatter is a pure copy. All gradient arithmetic stayed at the
@@ -368,7 +345,7 @@ func (g *Group) Commit(nMicro int) error {
 //     reduced gradient bitwise.
 //  2. Per-stage phase arithmetic is location-independent. PrepareStage,
 //     ScaleStage, StepStage and FinishStage touch only the stage's
-//     parameter range, and every input — masters (broadcast-synced),
+//     parameter range, and every input — masters (gather-synced),
 //     reduced gradients (scattered), moment state (stepped only by the
 //     owner, every step, from identical inputs), step clocks (every
 //     member advances once per commit), τ delays and schedules (identical
@@ -379,18 +356,24 @@ func (g *Group) Commit(nMicro int) error {
 //     folded st = 0..P−1 on the orchestrator, exactly as the serial
 //     commit sums them, and the resulting scale is computed once.
 //  4. The gather is a pure copy. Every member imports each stage it does
-//     not own from the owner's post-step state (the inverse of the old
-//     leader broadcast) and pushes its version queue exactly once per
-//     stage, so every replica's version history replays identically.
-func (g *Group) shardedCommit(nMicro int) error {
+//     not own from the owner's post-step state and pushes its version
+//     queue exactly once per stage, so every replica's version history
+//     replays identically.
+//
+// A member failure surfaces as *MemberError when eviction can handle it
+// (CanEvict) and as a plain wrapped error otherwise; the group must not
+// commit again after a non-evictable error.
+func (g *Group) Commit(nMicro int) error {
 	p := g.lead.Stages()
 	// Scatter: move the leader's reduced gradients to their owners and
-	// align follower epoch clocks. TakeStageGrads zeroes the leader's
+	// align the owners' epoch clocks. TakeStageGrads zeroes the leader's
 	// accumulator, so gradient ownership moves wholesale.
 	t0 := g.rec.Now()
 	var scatterBytes int64
-	for _, m := range g.members[1:] {
-		m.member.SetEpoch(g.lead.Epoch())
+	for i, m := range g.members[1:] {
+		if g.owns(i + 1) {
+			m.member.SetEpoch(g.lead.Epoch())
+		}
 	}
 	if g.scatter == nil {
 		g.scatter = make([][]*tensor.Tensor, p)
@@ -451,12 +434,12 @@ func (g *Group) shardedCommit(nMicro int) error {
 		}
 		tk.Span(trace.NameCommitFinish, t0, lo, -1, 0)
 	})
-	// Gather: the inverted broadcast — every member imports each stage
-	// from the owner's post-step state, in stage order, pushing its own
-	// version queue. Owner states are read once, before the fan-out: for
-	// in-process owners that is the same live-tensor read as before, and
-	// for remote owners it fetches the stage exactly once into a stable
-	// buffer that the concurrent importers then only read.
+	// Gather: every member imports each stage from the owner's post-step
+	// state, in stage order, pushing its own version queue. Owner states
+	// are read once, before the fan-out: for in-process owners that is a
+	// read of the live tensors, and for remote owners it fetches the
+	// stage exactly once into a stable buffer that the concurrent
+	// importers then only read.
 	t0 = g.rec.Now()
 	states := make([][]*tensor.Tensor, p)
 	var gatherBytes int64
@@ -475,6 +458,13 @@ func (g *Group) shardedCommit(nMicro int) error {
 	})
 	g.ctracks[0].Span(trace.NameGather, t0, -1, -1, gatherBytes)
 	if pos, err := g.firstFault(); pos >= 0 {
+		if !g.owns(pos) {
+			// Every owner stepped and every healthy member imported from
+			// the owners independently, so a member that owns no stage
+			// evicts without replay: the minibatch's loss and step are
+			// already final.
+			return g.classify(pos, err, false)
+		}
 		// Step clocks have advanced and a dead owner's stepped shard is
 		// unrecoverable mid-commit: survivors hold a mix of pre- and
 		// post-step stages. Only a checkpoint restore recovers this.
@@ -514,14 +504,16 @@ func (g *Group) LossSum() float64 {
 }
 
 // Compute is the per-replica host wrapper a replicated engine hands to
-// that replica's inner engine. It delegates the pipeline slots to the
-// replica's member surface, overrides the minibatch framing (global
+// that replica's inner engine. The replica's pipeline slots are its Local
+// member's own; Compute overrides the minibatch framing (global
 // microbatch base, leader's epoch phase), captures per-microbatch losses,
 // exports per-(microbatch, stage) gradients on followers, and turns the
 // commit phase into a no-op — the commit belongs to the replicated engine
-// after the all-reduce.
+// after the all-reduce. A remote member has no local slots (Local is nil):
+// its chunk runs out of process through Run.
 type Compute struct {
-	member Member
+	Local         // the replica's pipeline slots; nil for a remote member
+	member Member // the commit and exchange surface the group drives
 	leader bool
 	p      int
 
@@ -536,14 +528,15 @@ type Compute struct {
 }
 
 func newCompute(m Member, leader bool) *Compute {
-	return &Compute{member: m, leader: leader, p: m.Stages()}
+	l, _ := m.(Local)
+	return &Compute{Local: l, member: m, leader: leader, p: m.Stages()}
 }
 
 // NewCompute wraps a follower member for chunk execution outside a
 // Group — the worker-process side of the remote protocol, where the
 // serve loop drives its local follower through an inner engine and ships
 // the captured losses and gradient exports back (transport.ServeConn).
-func NewCompute(m Member) *Compute { return newCompute(m, false) }
+func NewCompute(m Local) *Compute { return newCompute(m, false) }
 
 // BeginChunk resets the wrapper for a chunk of n microbatches starting
 // at global microbatch counter start, under the leader's epoch phase.
@@ -556,17 +549,15 @@ func (c *Compute) Losses() []float64 { return c.losses[:c.n] }
 // Grads returns the chunk's exported per-(microbatch, stage) gradients.
 func (c *Compute) Grads() [][][]*tensor.Tensor { return c.grads[:c.n] }
 
-// Remote reports whether the wrapped member runs its chunks out of
-// process (implements Runner) — in which case the replicated engine
-// calls Run instead of driving an inner engine over this wrapper.
-func (c *Compute) Remote() bool {
-	_, ok := c.member.(Runner)
-	return ok
-}
+// Remote reports whether the wrapped member has no local pipeline — in
+// which case the replicated engine calls Run instead of driving an inner
+// engine over this wrapper.
+func (c *Compute) Remote() bool { return c.Local == nil }
 
-// Run ships the chunk to a remote member and stores the returned losses
-// and gradient exports where Reduce and LossSum read them — the remote
-// counterpart of an inner engine driving the wrapper's slots locally.
+// Run ships the chunk to a remote member (Runner) and stores the returned
+// losses and gradient exports where Reduce and LossSum read them — the
+// remote counterpart of an inner engine driving the wrapper's slots
+// locally.
 func (c *Compute) Run(ctx context.Context, micros [][]int) error {
 	r, ok := c.member.(Runner)
 	if !ok {
@@ -622,36 +613,15 @@ func (c *Compute) Stages() int { return c.p }
 // replicas.
 func (c *Compute) Async() bool { return c.async }
 
-// Recompute delegates to the replica (same configuration as the leader).
-func (c *Compute) Recompute() bool { return c.member.Recompute() }
-
 // MicroBase returns the global microbatch counter of this replica's
 // chunk, so every slot sees the same global s as a single-replica run.
 func (c *Compute) MicroBase() int { return c.start }
 
-// Splittable delegates to the replica's task.
-func (c *Compute) Splittable() bool { return c.member.Splittable() }
-
-// InstallForward delegates to the replica.
-func (c *Compute) InstallForward(s, stage int) { c.member.InstallForward(s, stage) }
-
-// InstallBackward delegates to the replica.
-func (c *Compute) InstallBackward(s, stage int) { c.member.InstallBackward(s, stage) }
-
-// InstallRecompute delegates to the replica.
-func (c *Compute) InstallRecompute(s, stage int) { c.member.InstallRecompute(s, stage) }
-
-// Restore delegates to the replica.
-func (c *Compute) Restore(stage int) { c.member.Restore(stage) }
-
-// BeginMicro delegates to the replica.
-func (c *Compute) BeginMicro(s int, mb []int) { c.member.BeginMicro(s, mb) }
-
-// StageForward delegates to the replica and records the microbatch's loss
+// StageForward runs the replica's slot and records the microbatch's loss
 // at the last stage of its first forward climb (a recompute climb returns
 // the loss again; first-write-wins keeps the original).
 func (c *Compute) StageForward(s, stage int) float64 {
-	loss := c.member.StageForward(s, stage)
+	loss := c.Local.StageForward(s, stage)
 	if stage == c.p-1 {
 		if k := s - c.start; !c.taken[k] {
 			c.losses[k] = loss
@@ -661,35 +631,29 @@ func (c *Compute) StageForward(s, stage int) float64 {
 	return loss
 }
 
-// StageBackward delegates to the replica and, on followers, immediately
+// StageBackward runs the replica's slot and, on followers, immediately
 // exports the stage's just-accumulated gradient into the per-microbatch
 // staging area (zeroing the stage accumulator, so the next microbatch
 // again accumulates from zero). Monolithic tasks run their whole backward
 // in stage 0's slot, so that slot exports every stage.
 func (c *Compute) StageBackward(s, stage int) {
-	c.member.StageBackward(s, stage)
+	c.Local.StageBackward(s, stage)
 	if c.leader {
 		return
 	}
 	k := s - c.start
-	if c.member.Splittable() {
-		c.grads[k][stage] = c.member.TakeStageGrads(stage, c.grads[k][stage])
+	if c.Splittable() {
+		c.grads[k][stage] = c.TakeStageGrads(stage, c.grads[k][stage])
 		return
 	}
 	if stage == 0 {
 		for st := 0; st < c.p; st++ {
-			c.grads[k][st] = c.member.TakeStageGrads(st, c.grads[k][st])
+			c.grads[k][st] = c.TakeStageGrads(st, c.grads[k][st])
 		}
 	}
 }
 
-// EndMicro delegates to the replica.
-func (c *Compute) EndMicro(s int) { c.member.EndMicro(s) }
-
-// BadLoss delegates to the replica (identical loss cap across replicas).
-func (c *Compute) BadLoss(loss float64) bool { return c.member.BadLoss(loss) }
-
-// PrepareStage is a no-op: the commit phase runs once, on the leader,
+// PrepareStage is a no-op: the commit phase runs once, through the group,
 // after the all-reduce.
 func (c *Compute) PrepareStage(stage, nMicro int) float64 { return 0 }
 

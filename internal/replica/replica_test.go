@@ -2,6 +2,7 @@ package replica_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ type fakeMember struct {
 	p      int
 	mu     sync.Mutex
 	acc    []float64 // per-stage accumulator
-	synced int       // SetStep calls: one per full-state push
+	synced int       // SetStep calls: one per handoff push
 	folds  [][]float64
 
 	// Sharded-commit recording: per-stage commit-phase call counts and
@@ -33,6 +34,12 @@ type fakeMember struct {
 	imported   []int
 	beginSteps int
 	epochSyncs int
+
+	// err is the member's latched failure (replica.Erring); failImport
+	// latches one on the member's first ImportStageState — a link that
+	// dies mid-gather.
+	err        error
+	failImport bool
 }
 
 func newFakeMember(p int) *fakeMember {
@@ -134,6 +141,9 @@ func (f *fakeMember) StageState(stage int) []*tensor.Tensor {
 func (f *fakeMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.failImport && f.err == nil {
+		f.err = errLinkDown
+	}
 	f.imported[stage]++
 	f.state[stage] = src[0].Data[0]
 }
@@ -152,7 +162,17 @@ func (f *fakeMember) SetStep(int) {
 
 func (f *fakeMember) RestoreVersions(int, int, [][]*tensor.Tensor) {}
 
-// fakeLead is a fakeMember that owns followers.
+func (f *fakeMember) Err() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
+var errLinkDown = errors.New("link down")
+
+// fakeLead is a fakeMember that owns followers. Its commit plan shards
+// the stages across every replica when sharded is set, and otherwise
+// gives the leader every stage.
 type fakeLead struct {
 	*fakeMember
 	followers []*fakeMember
@@ -161,8 +181,10 @@ type fakeLead struct {
 
 func (f *fakeLead) Replicas() int                 { return len(f.followers) + 1 }
 func (f *fakeLead) Follower(r int) replica.Member { return f.followers[r-1] }
-func (f *fakeLead) ShardedStep() bool             { return f.sharded }
 func (f *fakeLead) CommitShards() engine.CommitPlan {
+	if !f.sharded {
+		return engine.NewCommitPlan(f.p, 1)
+	}
 	return engine.NewCommitPlan(f.p, f.Replicas())
 }
 func (f *fakeLead) Step() int  { return 0 }
@@ -247,18 +269,6 @@ func TestGroupReduceFoldsInGlobalMicrobatchOrder(t *testing.T) {
 	if got := g.LossSum(); got != wantLoss {
 		t.Fatalf("loss sum %g, want %g", got, wantLoss)
 	}
-
-	if err := g.Broadcast(); err != nil {
-		t.Fatal(err)
-	}
-	if lead.synced != 0 {
-		t.Fatal("the leader must not sync from itself")
-	}
-	for i, f := range lead.followers {
-		if f.synced != 1 {
-			t.Fatalf("follower %d synced %d times, want 1", i+1, f.synced)
-		}
-	}
 }
 
 // TestGroupShardedCommitProtocol drives the replica-sharded commit over
@@ -318,7 +328,7 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 			t.Fatalf("member %d advanced its step clock %d times, want exactly 1", i, m.beginSteps)
 		}
 		if m.synced != 0 {
-			t.Fatalf("member %d ran the full-state broadcast under the sharded commit", i)
+			t.Fatalf("member %d took a handoff push during the commit", i)
 		}
 	}
 	for i, m := range lead.followers {
@@ -335,14 +345,19 @@ func TestGroupShardedCommitProtocol(t *testing.T) {
 	}
 }
 
-// TestGroupSerialCommitBroadcasts pins the non-sharded path: the whole
-// commit runs on the leader and every follower receives the full-state
-// broadcast.
+// TestGroupSerialCommitBroadcasts pins the one-owner plan: the whole
+// commit runs on the leader, and the gather is the full broadcast — the
+// follower imports every stage exactly once from the leader's post-step
+// state and advances its step clock once, with no handoff push and no
+// epoch sync (it owns no stage).
 func TestGroupSerialCommitBroadcasts(t *testing.T) {
 	const p, r = 3, 2
 	lead := &fakeLead{fakeMember: newFakeMember(p)}
 	lead.followers = append(lead.followers, newFakeMember(p))
 	g := replica.NewGroup(lead)
+	for st := 0; st < p; st++ {
+		lead.acc[st] = float64(10 * (st + 1))
+	}
 	if err := g.Commit(2); err != nil {
 		t.Fatal(err)
 	}
@@ -356,11 +371,72 @@ func TestGroupSerialCommitBroadcasts(t *testing.T) {
 		t.Fatalf("leader advanced its step clock %d times, want 1", lead.beginSteps)
 	}
 	f := lead.followers[0]
-	if f.synced != 1 {
-		t.Fatalf("follower synced %d times, want the full broadcast once", f.synced)
+	for st := 0; st < p; st++ {
+		if f.prepared[st] != 0 || f.stepped[st] != 0 || f.finished[st] != 0 {
+			t.Fatalf("follower ran stage %d's commit phases under the one-owner plan", st)
+		}
+		if f.imported[st] != 1 {
+			t.Fatalf("follower imported stage %d %d times, want 1", st, f.imported[st])
+		}
+		if want := 1000.0 + float64(10*(st+1)); f.state[st] != want {
+			t.Fatalf("follower stage %d state %g, want the leader's post-step %g", st, f.state[st], want)
+		}
 	}
-	if f.beginSteps != 0 || f.prepared[0] != 0 {
-		t.Fatal("follower must stay inert under the leader-serial commit")
+	if f.beginSteps != 1 {
+		t.Fatalf("follower advanced its step clock %d times, want 1", f.beginSteps)
+	}
+	if f.synced != 0 || f.epochSyncs != 0 {
+		t.Fatalf("follower took %d handoff pushes and %d epoch syncs, want none", f.synced, f.epochSyncs)
+	}
+}
+
+// ftLead is a fakeLead that trains fault-tolerantly (replica.FaultTolerer).
+type ftLead struct{ *fakeLead }
+
+func (ftLead) FaultTolerant() bool { return true }
+
+// TestEvictionFollowsOwnership pins the one eviction rule with more
+// replicas than stages (P=2 across R=4: members 2 and 3 own nothing).
+// Without fault tolerance a non-owner is evictable and an owner is not;
+// with it every follower is. A non-owner whose link dies mid-gather
+// evicts without replay, and a dead owner aborts the commit.
+func TestEvictionFollowsOwnership(t *testing.T) {
+	const p, r = 2, 4
+	build := func() *fakeLead {
+		lead := &fakeLead{fakeMember: newFakeMember(p), sharded: true}
+		for i := 1; i < r; i++ {
+			lead.followers = append(lead.followers, newFakeMember(p))
+		}
+		return lead
+	}
+	g := replica.NewGroup(build())
+	for pos, owns := range []bool{true, true, false, false} {
+		// Evictable: never the leader; otherwise exactly the non-owners.
+		want := pos > 0 && !owns
+		if got := g.CanEvict(pos, errLinkDown); got != want {
+			t.Fatalf("no-ft CanEvict(%d) = %t, want %t", pos, got, want)
+		}
+	}
+	if g.CanEvict(3, context.Canceled) {
+		t.Fatal("a cancellation must never evict")
+	}
+	ft := replica.NewGroup(ftLead{build()})
+	for pos := 1; pos < r; pos++ {
+		if !ft.CanEvict(pos, errLinkDown) {
+			t.Fatalf("fault-tolerant CanEvict(%d) = false, want true", pos)
+		}
+	}
+
+	lead := build()
+	lead.followers[2].failImport = true // member 3: owns no stage
+	var me *replica.MemberError
+	if err := replica.NewGroup(lead).Commit(1); !errors.As(err, &me) || me.Replica != 3 || me.Replay {
+		t.Fatalf("non-owner failing mid-gather: Commit = %v, want MemberError{Replica: 3, Replay: false}", err)
+	}
+	lead = build()
+	lead.followers[0].failImport = true // member 1: owns stage 1
+	if err := replica.NewGroup(lead).Commit(1); err == nil || errors.As(err, &me) {
+		t.Fatalf("owner failing mid-gather: Commit = %v, want a fatal error", err)
 	}
 }
 

@@ -46,7 +46,7 @@ import (
 // so exporters and the Report can classify events by track alone.
 const (
 	TidWorkerBase  = 0   // compute worker w of a replica → tid w
-	TidCollectives = 100 // replica collectives: reduce/scatter/gather/broadcast, sharded commit phases
+	TidCollectives = 100 // replica collectives: reduce/scatter/gather, owner commit phases
 	TidWire        = 200 // transport round-trips to this replica's remote member
 	TidControl     = 300 // run control: epoch marks, eval, checkpoint, faults
 )
@@ -63,10 +63,9 @@ const (
 	NameCommitStep    = "commit:step"
 	NameCommitFinish  = "commit:finish"
 
-	NameReduce    = "reduce"
-	NameScatter   = "scatter"
-	NameGather    = "gather"
-	NameBroadcast = "broadcast"
+	NameReduce  = "reduce"
+	NameScatter = "scatter"
+	NameGather  = "gather"
 
 	NameRetry       = "retry"
 	NameHeartbeat   = "heartbeat"

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bytes"
 	"fmt"
 
 	"pipemare/internal/tensor"
@@ -85,14 +84,6 @@ func (r *Cursor) Err() error { return r.c.err }
 
 // Done errors unless the payload decoded exactly.
 func (r *Cursor) Done() error { return r.c.done() }
-
-// AppendMessage appends one message to dst as wire frames, exactly as
-// WriteMessage streams them.
-func AppendMessage(dst []byte, h Header, payload []byte) []byte {
-	b := bytes.NewBuffer(dst)
-	_ = WriteMessage(b, h, payload) // a bytes.Buffer write cannot fail
-	return b.Bytes()
-}
 
 // NextMessage decodes the next message from a frame stream produced by
 // WriteMessage, reassembling chunked frames and verifying each frame's

@@ -15,11 +15,10 @@ import (
 
 // RemoteMember is the leader-side proxy for a follower replica hosted in
 // another process (or another goroutine, over the loopback transport).
-// It implements replica.Member — the collective surface replica.Group
-// drives for the reduce, sharded commit and broadcast — plus
-// replica.Runner, so the replicated engine ships the follower's
-// microbatch chunk to the worker as one message instead of driving the
-// pipeline slots over the wire.
+// It implements replica.Member — the commit and exchange surface
+// replica.Group drives — plus replica.Runner, so the replicated engine
+// ships the follower's microbatch chunk to the worker as one message: the
+// pipeline slots run in the worker, never over the wire.
 //
 // Transport failures are sticky: the first I/O error poisons the member,
 // every subsequent operation fails fast, and replica.Group surfaces the
@@ -214,34 +213,39 @@ func (m *RemoteMember) Close() error {
 }
 
 // roundTrip sends one request and reads its reply without the sticky
-// error machinery (the handshake uses it directly). Transient send
-// failures — the request provably never left this process — retry with
-// bounded exponential backoff and deterministic per-member jitter; a
-// resend after such a failure is invisible to the peer, so the curve is
-// untouched. Any failure after the request is on the wire is final: the
-// peer's state is unknown.
+// error machinery (the handshake uses it directly).
 func (m *RemoteMember) roundTrip(ctx context.Context, req Msg) (Msg, error) {
 	t0 := m.tk.Now()
+	if err := m.send(ctx, req); err != nil {
+		return Msg{}, err
+	}
+	resp, err := m.recvReply(ctx)
+	if err != nil {
+		return Msg{}, err
+	}
+	if resp.Type == MsgErr {
+		return Msg{}, decodeWireErr(resp.Data)
+	}
+	m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(len(req.Data)+len(resp.Data)))
+	return resp, nil
+}
+
+// send writes one request. Transient send failures — the request
+// provably never left this process — retry with bounded exponential
+// backoff and deterministic per-member jitter; a resend after such a
+// failure is invisible to the peer, so the curve is untouched. Any
+// failure after the request is on the wire is final: the peer's state is
+// unknown.
+func (m *RemoteMember) send(ctx context.Context, req Msg) error {
 	for attempt := 0; ; attempt++ {
-		if err := m.conn.Send(ctx, req); err != nil {
-			if IsTransient(err) && attempt < retryAttempts {
-				m.tk.Instant(trace.NameRetry, int(req.Stage), -1, int64(len(req.Data)))
-				if serr := m.backoff(ctx, attempt); serr != nil {
-					return Msg{}, serr
-				}
-				continue
-			}
-			return Msg{}, err
+		err := m.conn.Send(ctx, req)
+		if err == nil || !IsTransient(err) || attempt >= retryAttempts {
+			return err
 		}
-		resp, err := m.recvReply(ctx)
-		if err != nil {
-			return Msg{}, err
+		m.tk.Instant(trace.NameRetry, int(req.Stage), -1, int64(len(req.Data)))
+		if serr := m.backoff(ctx, attempt); serr != nil {
+			return serr
 		}
-		if resp.Type == MsgErr {
-			return Msg{}, decodeWireErr(resp.Data)
-		}
-		m.tk.Span(wireName(req.Type), t0, int(req.Stage), -1, int64(len(req.Data)+len(resp.Data)))
-		return resp, nil
 	}
 }
 
@@ -399,18 +403,7 @@ func (m *RemoteMember) chunkRoundTrip(ctx context.Context, req Msg) (Msg, error)
 		return m.roundTrip(ctx, req)
 	}
 	t0 := m.tk.Now()
-	for attempt := 0; ; attempt++ {
-		err := m.conn.Send(ctx, req)
-		if err == nil {
-			break
-		}
-		if IsTransient(err) && attempt < retryAttempts {
-			m.tk.Instant(trace.NameRetry, int(req.Stage), -1, int64(len(req.Data)))
-			if serr := m.backoff(ctx, attempt); serr != nil {
-				return Msg{}, serr
-			}
-			continue
-		}
+	if err := m.send(ctx, req); err != nil {
 		return Msg{}, err
 	}
 	ch := make(chan wireReply, 1)
@@ -502,7 +495,7 @@ func (m *RemoteMember) decodeChunkDone(data []byte, wantK int) ([]float64, [][][
 	return m.losses, m.grads[:k:k], nil
 }
 
-// --- collective surface (replica.Member beyond the Host slots) ---
+// --- commit and exchange surface (replica.Member) ---
 
 func (m *RemoteMember) stageMsg(typ byte, stage int, data []byte) Msg {
 	return Msg{Type: typ, Stage: int32(stage), Data: data}
@@ -570,7 +563,7 @@ func (m *RemoteMember) StageState(stage int) []*tensor.Tensor {
 }
 
 // ImportStageState ships a stage's state (an owner's post-step state, or
-// the leader's in a broadcast or handoff) to the worker, which imports it
+// the leader's in a handoff) to the worker, which imports it
 // and pushes its version queue.
 func (m *RemoteMember) ImportStageState(stage int, src []*tensor.Tensor) {
 	m.call(m.stageMsg(MsgSetState, stage, appendTensors(nil, src)), MsgAck)
@@ -600,74 +593,8 @@ func (m *RemoteMember) fail(err error) {
 	m.mu.Unlock()
 }
 
-// --- engine.Host surface ---
-//
-// The pipeline slots of a remote member run in the worker process,
-// driven by its own inner engine via MsgRunChunk; the replicated engine
-// never drives them through this proxy. Stages is real (replica.Compute
-// reads it at wrap time); the slot methods refuse loudly.
-
 // Stages returns P.
 func (m *RemoteMember) Stages() int { return m.stages }
-
-// TakeStageGrads is leader-local in every collective; a remote call is a
-// protocol bug.
-func (m *RemoteMember) TakeStageGrads(stage int, bufs []*tensor.Tensor) []*tensor.Tensor {
-	panic("transport: TakeStageGrads on a remote member")
-}
-
-// FoldStageGrads is leader-local in every collective; a remote call is a
-// protocol bug.
-func (m *RemoteMember) FoldStageGrads(stage int, bufs []*tensor.Tensor) {
-	panic("transport: FoldStageGrads on a remote member")
-}
-
-func (m *RemoteMember) remoteSlot(name string) string {
-	return "transport: " + name + " on a remote member (its pipeline runs in the worker process)"
-}
-
-// Async panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) Async() bool { panic(m.remoteSlot("Async")) }
-
-// Recompute panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) Recompute() bool { panic(m.remoteSlot("Recompute")) }
-
-// MicroBase panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) MicroBase() int { panic(m.remoteSlot("MicroBase")) }
-
-// Splittable panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) Splittable() bool { panic(m.remoteSlot("Splittable")) }
-
-// InstallForward panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) InstallForward(s, stage int) { panic(m.remoteSlot("InstallForward")) }
-
-// InstallBackward panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) InstallBackward(s, stage int) { panic(m.remoteSlot("InstallBackward")) }
-
-// InstallRecompute panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) InstallRecompute(s, stage int) { panic(m.remoteSlot("InstallRecompute")) }
-
-// Restore panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) Restore(stage int) { panic(m.remoteSlot("Restore")) }
-
-// BeginMicro panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) BeginMicro(s int, mb []int) { panic(m.remoteSlot("BeginMicro")) }
-
-// StageForward panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) StageForward(s, stage int) float64 { panic(m.remoteSlot("StageForward")) }
-
-// StageBackward panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) StageBackward(s, stage int) { panic(m.remoteSlot("StageBackward")) }
-
-// EndMicro panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) EndMicro(s int) { panic(m.remoteSlot("EndMicro")) }
-
-// BadLoss panics: the worker's pipeline is driven remotely.
-func (m *RemoteMember) BadLoss(loss float64) bool { panic(m.remoteSlot("BadLoss")) }
-
-// ClipScale is leader-local in every collective; a remote call is a
-// protocol bug.
-func (m *RemoteMember) ClipScale(sumSq float64) float64 { panic(m.remoteSlot("ClipScale")) }
 
 var (
 	_ replica.Member  = (*RemoteMember)(nil)

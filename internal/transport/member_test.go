@@ -13,7 +13,7 @@ import (
 	"pipemare/internal/tensor"
 )
 
-// wireMember is a full fake replica.Member with one scalar parameter per
+// wireMember is a full fake replica.Local with one scalar parameter per
 // stage, for exercising the member/server protocol
 // without a trainer: forward returns a distinct loss per microbatch,
 // backward accumulates s+1, state is a per-stage scalar.
@@ -130,7 +130,7 @@ func (m *wireMember) RestoreVersions(stage, base int, snaps [][]*tensor.Tensor) 
 	m.base, m.ring = base, snaps
 }
 
-var _ replica.Member = (*wireMember)(nil)
+var _ replica.Local = (*wireMember)(nil)
 
 // startPair serves a wireMember over loopback and returns the connected
 // leader-side proxy plus the worker's member for inspection.
@@ -142,7 +142,7 @@ func startPair(t *testing.T, p int) (*RemoteMember, *wireMember, *wireMember, fu
 	ctx, cancel := context.WithCancel(context.Background())
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Member, error) { return worker, nil }, nil)
+		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return worker, nil }, nil)
 	}()
 	conn, err := dial.Dial(ctx)
 	if err != nil {
@@ -284,7 +284,7 @@ func TestHandshakeRejectsMismatchedState(t *testing.T) {
 	worker := newWireMember(p)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	go Serve(ctx, lis, func(spec Spec) (replica.Member, error) { return worker, nil }, nil)
+	go Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return worker, nil }, nil)
 	conn, err := dial.Dial(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestHandshakeRejectsStageMismatch(t *testing.T) {
 	defer lis.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	go Serve(ctx, lis, func(spec Spec) (replica.Member, error) { return newWireMember(3), nil }, nil)
+	go Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return newWireMember(3), nil }, nil)
 	conn, err := dial.Dial(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +434,7 @@ func TestServerSurvivesMalformedRequests(t *testing.T) {
 	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Member, error) { return newWireMember(2), nil }, nil)
+		serveDone <- Serve(ctx, lis, func(spec Spec) (replica.Local, error) { return newWireMember(2), nil }, nil)
 	}()
 	conn, err := dial.Dial(ctx)
 	if err != nil {

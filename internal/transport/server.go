@@ -16,7 +16,7 @@ import (
 // It runs after MsgHello, so a spec-dependent configuration (replica id,
 // replica count, commit mode, pinned partition costs) needs no worker
 // flags.
-type Builder func(spec Spec) (replica.Member, error)
+type Builder func(spec Spec) (replica.Local, error)
 
 // Serve accepts one leader connection on lis and serves it until the
 // leader says goodbye, the connection drops, or ctx ends. inner is the
@@ -49,7 +49,7 @@ func ServeConn(ctx context.Context, conn MsgConn, build Builder, inner engine.En
 // path (ServeConn) and the join path (ServeJoin): wrap the member for
 // chunk execution, start the inner engine's lifecycle, and enter the
 // request loop.
-func (s *server) serve(ctx context.Context, member replica.Member) error {
+func (s *server) serve(ctx context.Context, member replica.Local) error {
 	s.member = member
 	s.comp = replica.NewCompute(member)
 	if lc, ok := s.inner.(engine.Lifecycle); ok {
@@ -62,7 +62,7 @@ func (s *server) serve(ctx context.Context, member replica.Member) error {
 type server struct {
 	conn   MsgConn
 	inner  engine.Engine
-	member replica.Member
+	member replica.Local
 	comp   *replica.Compute
 
 	replica uint16
@@ -85,7 +85,7 @@ func (s *server) replyErr(ctx context.Context, code uint32, text string) error {
 // handshake reads MsgHello, builds the follower from the spec, verifies
 // topology and the initial-state checksum, aligns the clocks, and
 // acknowledges. A mismatch is reported to the leader and returned.
-func (s *server) handshake(ctx context.Context, build Builder) (replica.Member, error) {
+func (s *server) handshake(ctx context.Context, build Builder) (replica.Local, error) {
 	req, err := s.conn.Recv(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("transport: handshake: %w", err)
@@ -99,7 +99,7 @@ func (s *server) handshake(ctx context.Context, build Builder) (replica.Member, 
 		s.replyErr(ctx, errGeneric, err.Error())
 		return nil, fmt.Errorf("transport: handshake: %w", err)
 	}
-	reject := func(format string, args ...any) (replica.Member, error) {
+	reject := func(format string, args ...any) (replica.Local, error) {
 		err := fmt.Errorf(format, args...)
 		s.replyErr(ctx, errGeneric, err.Error())
 		return nil, fmt.Errorf("transport: handshake: %w", err)

@@ -353,9 +353,10 @@ func WithDialTimeout(d time.Duration) Option {
 // reduce tree and commit plan over the survivors, and replays the
 // interrupted minibatch — with a post-eviction curve bit-identical to a
 // fresh run over the surviving replica count from the same state.
-// Serial-commit (WithShardedStep(false)) groups evict without this
-// option; the sharded commit requires it, because without mirrored
-// moments a dead owner's optimizer shard is simply gone. Requires an
+// A follower that owns no stage of the commit plan — every follower
+// under WithShardedStep(false) — is evictable without this option; an
+// owner is not, because without mirrored moments a dead owner's
+// optimizer shard is simply gone. Requires an
 // optimizer exposing its moment state (optim.Stateful — SGD and AdamW
 // do). Implied by WithCheckpoint under the sharded commit.
 func WithFaultTolerance() Option {

@@ -73,7 +73,7 @@ func ServeFollower(ctx context.Context, lis Listener, task Task, opts ...Option)
 // leader's announced spec, adopting the leader's resolved fault
 // tolerance, commit mode and partition costs.
 func followerBuilder(task Task, s *settings, opt Optimizer) transport.Builder {
-	return func(spec transport.Spec) (replica.Member, error) {
+	return func(spec transport.Spec) (replica.Local, error) {
 		fcfg := s.cfg
 		fcfg.Engine = nil
 		fcfg.Replicas = spec.Replicas

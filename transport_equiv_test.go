@@ -13,6 +13,7 @@ import (
 	"pipemare/internal/engine/concurrent"
 	"pipemare/internal/model"
 	"pipemare/internal/optim"
+	"pipemare/internal/trace"
 )
 
 // startWorkers launches one ServeFollower goroutine per follower replica
@@ -96,6 +97,76 @@ func TestTransportLoopbackMatchesReference(t *testing.T) {
 					}
 				}
 				requireIdentical(t, name, ref, got)
+			}
+		}
+	}
+}
+
+// TestCommitWireTrafficPerFollower counts the wire round-trips each
+// remote follower takes per minibatch in a traced R=3, P=4 loopback run,
+// in both commit modes, from the wire:* spans on its wire track. Both
+// modes run one commit protocol over the leader's plan; the counts pin
+// that the plan's owner count alone decides the traffic. Under the
+// one-owner (serial) plan a follower owns nothing: it advances its step
+// clock and imports every stage, with no epoch sync, scatter or phase
+// messages. Under the sharded plan (stages 0–1 on the leader, 2 on
+// follower 1, 3 on follower 2) each follower syncs its epoch, runs every
+// commit phase once for the stage it owns, serves that stage to the
+// gather and imports the three it does not own. The clip norm is small
+// enough that the scale phase runs on every commit.
+func TestCommitWireTrafficPerFollower(t *testing.T) {
+	const epochs, steps = 2, 8 // 32 samples in minibatches of 8: 4 per epoch
+	build := func() pipemare.Task { return newQuadTask(4, 32, 8, 23) }
+	base := append(ftBase(), pipemare.WithClipNorm(1e-9))
+	for _, tc := range []struct {
+		sharded bool
+		want    map[string]int // round-trips per minibatch, each follower
+	}{
+		{false, map[string]int{"wire:chunk": 1, "wire:begin-step": 1, "wire:set-state": 4}},
+		{true, map[string]int{"wire:chunk": 1, "wire:sync-epoch": 1, "wire:set-grads": 1,
+			"wire:prepare": 1, "wire:begin-step": 1, "wire:scale": 1, "wire:step": 1,
+			"wire:finish": 1, "wire:get-state": 1, "wire:set-state": 3}},
+	} {
+		name := fmt.Sprintf("sharded=%t", tc.sharded)
+		dialers, kill, wait := startWorkers(t, 2, build, func() []pipemare.Option { return base })
+		rec := pipemare.NewTraceRecorder()
+		opts := append(append([]pipemare.Option{}, base...), pipemare.WithTrace(rec),
+			pipemare.WithReplicas(3), pipemare.WithShardedStep(tc.sharded),
+			pipemare.WithTransport(dialers...))
+		tr, err := pipemare.New(build(), opts...)
+		if err != nil {
+			kill()
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := tr.Run(context.Background(), epochs); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatalf("%s: close: %v", name, err)
+		}
+		for i, werr := range wait() {
+			if werr != nil {
+				t.Fatalf("%s: worker %d: %v", name, i+1, werr)
+			}
+		}
+		got := map[int]map[string]int{1: {}, 2: {}}
+		for _, tk := range rec.Tracks() {
+			if tk.Tid != trace.TidWire {
+				continue
+			}
+			for _, ev := range tk.Events() {
+				if ev.Ph == 'X' {
+					got[tk.Pid][ev.Name]++
+				}
+			}
+		}
+		want := map[string]int{}
+		for k, v := range tc.want {
+			want[k] = v * steps
+		}
+		for r, counts := range got {
+			if fmt.Sprint(counts) != fmt.Sprint(want) {
+				t.Fatalf("%s: follower %d round-trips over %d minibatches = %v, want %v", name, r, steps, counts, want)
 			}
 		}
 	}
